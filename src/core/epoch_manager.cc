@@ -83,12 +83,10 @@ EpochManager::beginSpeculation(uint64_t cursor,
     epoch.flushes.assign(gateFlushes.begin(), gateFlushes.end());
     epoch.isFirst = true;
     if (tracer_ && tracer_->enabled(kTraceEpoch)) {
-        tracer_->instant(kTraceEpoch, "checkpoint_take", now,
-                         "\"slot\":" + std::to_string(idx) +
-                             ",\"cursor\":" + std::to_string(cursor));
-        tracer_->asyncBegin(kTraceEpoch, "epoch", epoch.id, now,
-                            "\"cursor\":" + std::to_string(cursor) +
-                                ",\"first\":true");
+        tracer_->instant(kTraceEpoch, TraceName::kCheckpointTake, now,
+                         {idx, cursor});
+        tracer_->asyncBegin(kTraceEpoch, TraceName::kEpoch, epoch.id, now,
+                            {cursor, 0, kTraceFirst});
     }
     epochs_.push_back(std::move(epoch));
     preSpecDrained_ = false;
@@ -110,13 +108,10 @@ EpochManager::startChild(uint64_t cursor, Tick now)
     epoch.flushes = flushPool_.take();
     epoch.isFirst = false;
     if (tracer_ && tracer_->enabled(kTraceEpoch)) {
-        tracer_->instant(kTraceEpoch, "checkpoint_take", now,
-                         "\"slot\":" + std::to_string(idx) +
-                             ",\"cursor\":" + std::to_string(cursor));
-        tracer_->asyncBegin(kTraceEpoch, "epoch", epoch.id, now,
-                            "\"cursor\":" + std::to_string(cursor) +
-                                ",\"parent\":" +
-                                std::to_string(epochs_.back().id));
+        tracer_->instant(kTraceEpoch, TraceName::kCheckpointTake, now,
+                         {idx, cursor});
+        tracer_->asyncBegin(kTraceEpoch, TraceName::kEpoch, epoch.id, now,
+                            {cursor, epochs_.back().id});
     }
     epochs_.push_back(std::move(epoch));
     ++stats_.epochsStarted;
@@ -198,8 +193,8 @@ EpochManager::tick(Tick now)
 
     while (!epochs_.empty() && canRetire(epochs_.front())) {
         if (tracer_ && tracer_->enabled(kTraceEpoch)) {
-            tracer_->asyncEnd(kTraceEpoch, "epoch", epochs_.front().id,
-                              now, "\"outcome\":\"commit\"");
+            tracer_->asyncEnd(kTraceEpoch, TraceName::kEpoch,
+                              epochs_.front().id, now);
         }
         checkpoints_.free(epochs_.front().checkpointIdx);
         recycleFlushes(epochs_.front());
@@ -239,8 +234,8 @@ EpochManager::exitSpeculation(Tick now)
 {
     SP_ASSERT(readyToExit(), "exitSpeculation before the SSB drained");
     if (tracer_ && tracer_->enabled(kTraceEpoch)) {
-        tracer_->asyncEnd(kTraceEpoch, "epoch", epochs_.front().id, now,
-                          "\"outcome\":\"commit\"");
+        tracer_->asyncEnd(kTraceEpoch, TraceName::kEpoch,
+                          epochs_.front().id, now);
     }
     checkpoints_.free(epochs_.front().checkpointIdx);
     recycleFlushes(epochs_.front());
@@ -271,11 +266,11 @@ void
 EpochManager::abortAll(Tick now)
 {
     if (tracer_ && tracer_->enabled(kTraceEpoch) && !epochs_.empty()) {
-        tracer_->instant(kTraceEpoch, "checkpoint_restore", now,
-                         "\"cursor\":" + std::to_string(oldestCursor()));
+        tracer_->instant(kTraceEpoch, TraceName::kCheckpointRestore, now,
+                         {oldestCursor()});
         for (const Epoch &epoch : epochs_) {
-            tracer_->asyncEnd(kTraceEpoch, "epoch", epoch.id, now,
-                              "\"outcome\":\"abort\"");
+            tracer_->asyncEnd(kTraceEpoch, TraceName::kEpoch, epoch.id, now,
+                              {0, 0, kTraceAborted});
         }
     }
     for (Epoch &epoch : epochs_)

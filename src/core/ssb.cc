@@ -31,7 +31,7 @@ SpeculativeStoreBuffer::push(const SsbEntry &entry, Tick now)
     }
     entries_.push_back(entry);
     if (tracer_ && tracer_->enabled(kTraceSsb)) {
-        tracer_->counter(kTraceSsb, "ssb_occupancy", now,
+        tracer_->counter(kTraceSsb, TraceName::kSsbOccupancy, now,
                          entries_.size());
     }
 }
@@ -63,7 +63,7 @@ SpeculativeStoreBuffer::pop(Tick now)
         storeCover_.clear();
     }
     if (tracer_ && tracer_->enabled(kTraceSsb)) {
-        tracer_->counter(kTraceSsb, "ssb_occupancy", now,
+        tracer_->counter(kTraceSsb, TraceName::kSsbOccupancy, now,
                          entries_.size());
     }
 }

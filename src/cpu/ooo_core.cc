@@ -112,15 +112,18 @@ OooCore::setTraceSink(std::ostream *os)
 void
 OooCore::sampleCounters()
 {
-    tracer_->counter(kTraceCounters, "rob", now_, rob_.size());
-    tracer_->counter(kTraceCounters, "fetchq", now_, fetchQ_.size());
-    tracer_->counter(kTraceCounters, "lsq", now_, lsqCount_);
-    tracer_->counter(kTraceCounters, "storebuf", now_,
+    tracer_->counter(kTraceCounters, TraceName::kRob, now_, rob_.size());
+    tracer_->counter(kTraceCounters, TraceName::kFetchq, now_,
+                     fetchQ_.size());
+    tracer_->counter(kTraceCounters, TraceName::kLsq, now_, lsqCount_);
+    tracer_->counter(kTraceCounters, TraceName::kStorebuf, now_,
                      storeBuffer_.size() + (sbInFlight_ ? 1 : 0));
-    tracer_->counter(kTraceCounters, "inflight_pcommits", now_,
+    tracer_->counter(kTraceCounters, TraceName::kInflightPcommits, now_,
                      mc_.outstandingFlushes());
-    tracer_->counter(kTraceCounters, "wpq", now_, mc_.wpqOccupancy());
-    tracer_->counter(kTraceCounters, "epochs", now_, epochs_.epochCount());
+    tracer_->counter(kTraceCounters, TraceName::kWpq, now_,
+                     mc_.wpqOccupancy());
+    tracer_->counter(kTraceCounters, TraceName::kEpochs, now_,
+                     epochs_.epochCount());
 }
 
 // --------------------------------------------------------------------------
@@ -375,18 +378,17 @@ OooCore::executeOp(DynOp &op)
                     // Forward from the SSB: pay the CAM latency only.
                     ++stats_.ssbForwards;
                     if (tracer_ && tracer_->enabled(kTraceSsb)) {
-                        tracer_->instant(
-                            kTraceSsb, "ssb_forward", now_,
-                            "\"addr\":" + std::to_string(op.op.addr));
+                        tracer_->instant(kTraceSsb,
+                                         TraceName::kSsbForward, now_,
+                                         {op.op.addr});
                     }
                     ready = now_ + ssb_.latency();
                     break;
                 }
                 ++stats_.bloomFalsePositives;
                 if (tracer_ && tracer_->enabled(kTraceSsb)) {
-                    tracer_->instant(
-                        kTraceSsb, "bloom_fp", now_,
-                        "\"addr\":" + std::to_string(op.op.addr));
+                    tracer_->instant(kTraceSsb, TraceName::kBloomFp, now_,
+                                     {op.op.addr});
                 }
                 // False positive: CAM search, then the cache access.
                 ready = caches_.readAccess(op.op.addr, op.op.size,
@@ -463,8 +465,9 @@ OooCore::countRetired(const DynOp &op)
     if (tracer_ && tracer_->enabled(kTraceRetire) &&
         op.op.type != OpType::kAlu && op.op.type != OpType::kAluChain) {
         tracer_->instant(kTraceRetire,
-                         specMode_ ? "retire_spec" : "retire", now_,
-                         "\"op\":\"" + op.op.toString() + "\"");
+                         specMode_ ? TraceName::kRetireSpec
+                                   : TraceName::kRetire,
+                         now_, TraceArgs(op.op));
     }
     stats_.instructions += op.op.instructionCount();
     switch (op.op.type) {
@@ -662,9 +665,8 @@ OooCore::triggerSpeculation(const DynOp &fence)
     if (accountant_)
         accountant_->noteSpeculationEntered();
     if (tracer_ && tracer_->enabled(kTraceSpec)) {
-        tracer_->instant(kTraceSpec, "SPECULATE", now_,
-                         "\"cursor\":" +
-                             std::to_string(fence.nextCursor));
+        tracer_->instant(kTraceSpec, TraceName::kSpeculate, now_,
+                         {fence.nextCursor});
     }
     return true;
 }
@@ -940,7 +942,7 @@ OooCore::maybeExitSpeculation()
     if (!epochs_.readyToExit())
         return;
     if (tracer_ && tracer_->enabled(kTraceSpec))
-        tracer_->instant(kTraceSpec, "COMMIT", now_);
+        tracer_->instant(kTraceSpec, TraceName::kCommit, now_);
     epochs_.exitSpeculation(now_);
     bloom_.reset();
     blt_.clear();
@@ -956,13 +958,12 @@ OooCore::abortSpeculation()
     ++stats_.aborts;
     uint64_t cursor = epochs_.oldestCursor();
     if (tracer_ && tracer_->enabled(kTraceSpec)) {
-        tracer_->instant(kTraceSpec, "ABORT", now_,
-                         "\"cursor\":" + std::to_string(cursor));
+        tracer_->instant(kTraceSpec, TraceName::kAbort, now_, {cursor});
     }
     epochs_.abortAll(now_);
     ssb_.clear();
     if (tracer_ && tracer_->enabled(kTraceSsb))
-        tracer_->counter(kTraceSsb, "ssb_occupancy", now_, 0);
+        tracer_->counter(kTraceSsb, TraceName::kSsbOccupancy, now_, 0);
     bloom_.reset();
     blt_.clear();
     program_.rewind(cursor);
@@ -1155,7 +1156,7 @@ OooCore::stepCycle()
                 if (fenceStallBegin_ == kTickNever)
                     fenceStallBegin_ = now_;
             } else if (fenceStallBegin_ != kTickNever) {
-                tracer_->span(kTraceSpec, "fence_stall",
+                tracer_->span(kTraceSpec, TraceName::kFenceStall,
                               fenceStallBegin_, now_);
                 fenceStallBegin_ = kTickNever;
             }

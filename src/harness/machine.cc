@@ -263,9 +263,12 @@ Machine::finish(Tick crashAtCycle)
     // is lost and the durable image stays exactly as the device left it
     // -- except that a FIFO prefix of the pending writes may land, with
     // the boundary write torn at word granularity (see applyTornWrites).
+    result.perf.wpqPeakTimed = mc_->wpqPeak();
     if (result.completed) {
+        mc_->resetWpqPeak();
         caches_->writebackAll();
         mc_->drainAll();
+        result.perf.wpqPeakShutdown = mc_->wpqPeak();
     } else if (result.outcome == RunOutcome::kCrashed &&
                cfg_.sim.fault.crash.tornWrites) {
         mc_->applyTornWrites(cfg_.sim.fault.crash.seed ^ crashAtCycle);

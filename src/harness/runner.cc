@@ -57,6 +57,8 @@ PerfTelemetry::print(std::ostream &os, const std::string &prefix) const
     };
     cacheLine("volatile", volatileTransHits, volatileTransMisses);
     cacheLine("durable", durableTransHits, durableTransMisses);
+    os << prefix << "WPQ peak occupancy: timed " << wpqPeakTimed
+       << ", shutdown " << wpqPeakShutdown << "\n";
     for (const PoolStat &p : pools) {
         os << prefix << std::left << std::setw(20) << p.name << std::right
            << " capacity " << std::setw(8) << p.capacity << "  high-water "

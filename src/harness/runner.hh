@@ -91,8 +91,9 @@ const char *runOutcomeName(RunOutcome outcome);
 /**
  * Perf-infrastructure telemetry, filled for every run: the capacity and
  * high-water mark of each steady-state pool/arena in the machine
- * (fetch queue, ROB, SSB, epoch queue, WPQ, ...), plus the
- * page-translation-cache hit/miss counters of both memory images.
+ * (fetch queue, ROB, SSB, epoch queue, WPQ, ...), the
+ * page-translation-cache hit/miss counters of both memory images, and
+ * the WPQ occupancy peaks of the timed run and of the shutdown drain.
  * Collected after the run ends, so it is pure observation -- Stats and
  * the durable image are bit-identical whether anyone reads it or not.
  */
@@ -105,6 +106,15 @@ struct PerfTelemetry
     /** Durable image (NVMM device) translation cache. */
     uint64_t durableTransHits = 0;
     uint64_t durableTransMisses = 0;
+    /**
+     * Peak WPQ occupancy (queued + on the device, largest controller)
+     * during the timed run, and during a completed run's clean-shutdown
+     * writeback (0 otherwise). Forced evictions may overfill past
+     * MemConfig::wpqEntries; the shutdown pushes every dirty block
+     * through at once, so its peak far exceeds the capacity by design.
+     */
+    uint64_t wpqPeakTimed = 0;
+    uint64_t wpqPeakShutdown = 0;
 
     /** Human-readable table (spcli --cycle-account, bench reports). */
     void print(std::ostream &os, const std::string &prefix = "") const;

@@ -170,11 +170,10 @@ CacheHierarchy::writebackBlock(Addr blockAddr, bool invalidate, Tick now,
         }
     }
     if (tracer_ && tracer_->enabled(kTraceCache)) {
-        tracer_->span(kTraceCache, "writeback", now, ackTick,
-                      "\"addr\":" + std::to_string(blockAddr) +
-                          ",\"invalidate\":" +
-                          (invalidate ? "true" : "false") +
-                          ",\"dirty\":" + (dirty ? "true" : "false"));
+        uint8_t flags = (invalidate ? kTraceInvalidate : 0) |
+            (dirty ? kTraceDirty : 0);
+        tracer_->span(kTraceCache, TraceName::kWriteback, now, ackTick,
+                      {blockAddr, 0, flags});
     }
     return true;
 }

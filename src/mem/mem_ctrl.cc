@@ -112,21 +112,14 @@ MemCtrl::insertWrite(Addr blockAddr, const uint8_t *data, bool force)
         return;
     }
     SP_ASSERT(force || wpqHasSpace(), "WPQ overflow on non-forced write");
-    if (force && !wpqHasSpace() &&
-        wpq_.size() + inflight_.size() >= 2 * cfg_.wpqEntries) {
-        // Evictions may transiently overfill the queue, but sustained
-        // 2x overfill means drain bandwidth is badly mismatched to the
-        // eviction rate -- worth one line, not one line per write.
-        SP_WARN_ONCE("WPQ overfilled to ", wpq_.size() + inflight_.size(),
-                     " entries (capacity ", cfg_.wpqEntries,
-                     ") by forced evictions");
-    }
     WpqEntry entry;
     entry.addr = blockAddr;
     entry.seq = nextSeq_++;
     entry.readyAt = lastNow_;
     std::memcpy(entry.data, data, kBlockBytes);
     wpq_.push_back(entry);
+    // Forced evictions may overfill the queue; the peak says how far.
+    wpqPeak_ = std::max(wpqPeak_, wpqOccupancy());
     if (stats_)
         ++stats_->wpqInserts;
 }
@@ -193,12 +186,12 @@ MemCtrl::startFlush(Tick now)
         }
     }
     if (tracer_ && tracer_->enabled(kTraceMem)) {
-        tracer_->asyncBegin(kTraceMem, "pcommit", traceIdBase_ + id, now,
-                            "\"marker\":" + std::to_string(marker));
+        tracer_->asyncBegin(kTraceMem, TraceName::kPcommit,
+                            traceIdBase_ + id, now, {marker});
         if (complete) {
             // Nothing older was pending: the span closes immediately.
-            tracer_->asyncEnd(kTraceMem, "pcommit", traceIdBase_ + id,
-                              now);
+            tracer_->asyncEnd(kTraceMem, TraceName::kPcommit,
+                              traceIdBase_ + id, now);
         }
     }
     return id;
@@ -225,7 +218,7 @@ MemCtrl::updateFlushes(Tick now)
         if (stats_)
             stats_->flushLatency.record(now - pending_.front().startedAt);
         if (tracer_ && tracer_->enabled(kTraceMem)) {
-            tracer_->asyncEnd(kTraceMem, "pcommit",
+            tracer_->asyncEnd(kTraceMem, TraceName::kPcommit,
                               traceIdBase_ + firstPendingId_, now);
         }
         pending_.pop_front();

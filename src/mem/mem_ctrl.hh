@@ -92,6 +92,13 @@ class MemCtrl
     size_t wpqOccupancy() const { return wpq_.size() + inflight_.size(); }
 
     /**
+     * Highest wpqOccupancy() since construction or resetWpqPeak().
+     * Telemetry only: not part of Stats or of a snapshot.
+     */
+    size_t wpqPeak() const { return wpqPeak_; }
+    void resetWpqPeak() { wpqPeak_ = wpqOccupancy(); }
+
+    /**
      * Start a block read at `now`.
      *
      * @return Tick at which the data is available at the controller.
@@ -227,6 +234,7 @@ class MemCtrl
     Rng jitterRng_{1};
     /** High-water mark of observed time. */
     Tick lastNow_ = 0;
+    size_t wpqPeak_ = 0;
 
     uint64_t nextFlushId_ = 1;
     /** Incomplete flushes, oldest first; see PendingFlush. */

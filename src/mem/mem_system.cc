@@ -92,6 +92,22 @@ MemSystem::wpqOccupancy() const
     return total;
 }
 
+size_t
+MemSystem::wpqPeak() const
+{
+    size_t peak = 0;
+    for (const auto &ctrl : ctrls_)
+        peak = std::max(peak, ctrl->wpqPeak());
+    return peak;
+}
+
+void
+MemSystem::resetWpqPeak()
+{
+    for (const auto &ctrl : ctrls_)
+        ctrl->resetWpqPeak();
+}
+
 Tick
 MemSystem::read(Addr blockAddr, Tick now)
 {

@@ -60,6 +60,10 @@ class MemSystem
     /** Total queued + in-flight writes across controllers. */
     size_t wpqOccupancy() const;
 
+    /** Largest controller's MemCtrl::wpqPeak(), and its reset. */
+    size_t wpqPeak() const;
+    void resetWpqPeak();
+
     /** Start a block read at its owning controller. */
     Tick read(Addr blockAddr, Tick now);
 

@@ -182,6 +182,9 @@ OpEmitter::overlayBlock(Addr blockAddr)
         if (idx == overlayBlocks_.size())
             overlayBlocks_.emplace_back();
         overlayIndex_.insert(blockAddr, idx);
+        // Only shadow writes open overlay blocks: this is the first
+        // write to the block in this pass.
+        shadowWrites_.push_back(blockAddr);
         image_.readBlock(blockAddr, overlayBlocks_[idx].data());
     }
     return overlayBlocks_[idx];
@@ -193,7 +196,15 @@ OpEmitter::shadowRead(Addr addr, unsigned size)
     Addr blk_addr = blockAlign(addr);
     SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
               "shadow read crosses a block boundary");
-    shadowReads_.push_back(blk_addr);
+    // Record each block once: a pass re-reads the same blocks many
+    // times, and sorting the repeats away in endShadow costs more than
+    // this probe.
+    if (blk_addr != lastShadowRead_ &&
+        shadowReadIndex_.find(blk_addr) == AddrIndexMap::kNotFound) {
+        shadowReadIndex_.insert(blk_addr, 0);
+        shadowReads_.push_back(blk_addr);
+    }
+    lastShadowRead_ = blk_addr;
     uint32_t idx = overlayIndex_.find(blk_addr);
     if (idx == AddrIndexMap::kNotFound)
         return image_.readInt(addr, size);
@@ -209,7 +220,6 @@ OpEmitter::shadowWrite(Addr addr, uint64_t value, unsigned size)
     Addr blk_addr = blockAlign(addr);
     SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
               "shadow write crosses a block boundary");
-    shadowWrites_.push_back(blk_addr);
     auto &blk = overlayBlock(blk_addr);
     std::copy_n(reinterpret_cast<const uint8_t *>(&value), size,
                 blk.data() + blockOffset(addr));
@@ -222,6 +232,8 @@ OpEmitter::beginShadow()
     shadow_ = true;
     overlayIndex_.clear();
     overlayCount_ = 0;
+    shadowReadIndex_.clear();
+    lastShadowRead_ = kNoShadowRead;
     shadowReads_.clear();
     shadowWrites_.clear();
 }
@@ -235,13 +247,10 @@ OpEmitter::endShadow(ShadowResult &out)
     out.writtenBlocks.swap(shadowWrites_);
     overlayIndex_.clear();
     overlayCount_ = 0;
-    // Deduplicate, preserving nothing about order (callers sort anyway).
-    auto dedup = [](std::vector<Addr> &v) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    dedup(out.readBlocks);
-    dedup(out.writtenBlocks);
+    shadowReadIndex_.clear();
+    // Both lists hold each block once already; only the order is left.
+    std::sort(out.readBlocks.begin(), out.readBlocks.end());
+    std::sort(out.writtenBlocks.begin(), out.writtenBlocks.end());
 }
 
 OpEmitter::ShadowResult
@@ -329,6 +338,18 @@ OpEmitter::aluChain(unsigned count, Handle dep)
 void
 OpEmitter::memcpy(Addr dst, Addr src, unsigned len, Handle dep)
 {
+    // Muted (init phase) copies emit nothing, so move the bytes in
+    // block-sized pieces. A copy whose ranges overlap keeps the
+    // chunk-by-chunk path below, which defines its result.
+    if (muted_ && !shadow_ && (dst + len <= src || src + len <= dst)) {
+        uint8_t buf[kBlockBytes];
+        for (unsigned off = 0; off < len; off += kBlockBytes) {
+            unsigned chunk = std::min<unsigned>(kBlockBytes, len - off);
+            image_.read(src + off, buf, chunk);
+            image_.write(dst + off, buf, chunk);
+        }
+        return;
+    }
     unsigned off = 0;
     while (off < len) {
         unsigned chunk = std::min(8u, len - off);

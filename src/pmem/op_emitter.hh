@@ -275,6 +275,12 @@ class OpEmitter : public Program
     std::vector<std::array<uint8_t, kBlockBytes>> overlayBlocks_;
     /** Blocks of overlayBlocks_ in use this pass. */
     uint32_t overlayCount_ = 0;
+    /** Blocks already in shadowReads_; cleared per shadow pass. */
+    AddrIndexMap shadowReadIndex_;
+    /** Block of the previous shadow read, which skips the probe. */
+    static constexpr Addr kNoShadowRead = ~Addr{0};
+    Addr lastShadowRead_ = kNoShadowRead;
+    /** Blocks read / written this pass, each once, in first-touch order. */
     std::vector<Addr> shadowReads_;
     std::vector<Addr> shadowWrites_;
 

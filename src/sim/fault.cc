@@ -287,20 +287,16 @@ SpecGovernor::noteAbort(Tick now)
     if (stats_)
         ++stats_->watchdogBackoffs;
     if (tracer_ && tracer_->enabled(kTraceSpec)) {
-        tracer_->instant(kTraceSpec, "watchdog_backoff", now,
-                         "\"streak\":" + std::to_string(streak_) +
-                             ",\"until\":" + std::to_string(backoffUntil_));
+        tracer_->instant(kTraceSpec, TraceName::kWatchdogBackoff, now,
+                         {streak_, backoffUntil_});
     }
     if (streak_ >= cfg_.abortThreshold && degradedRemaining_ == 0) {
         degradedRemaining_ = std::max(1u, cfg_.fallbackFences);
         if (stats_)
             ++stats_->watchdogDegradations;
         if (tracer_ && tracer_->enabled(kTraceSpec)) {
-            tracer_->instant(
-                kTraceSpec, "watchdog_degrade", now,
-                "\"streak\":" + std::to_string(streak_) +
-                    ",\"fallbackFences\":" +
-                    std::to_string(degradedRemaining_));
+            tracer_->instant(kTraceSpec, TraceName::kWatchdogDegrade, now,
+                             {streak_, degradedRemaining_});
         }
     }
 }
@@ -329,7 +325,7 @@ SpecGovernor::noteFenceRetired(Tick now)
         if (stats_)
             ++stats_->watchdogRearms;
         if (tracer_ && tracer_->enabled(kTraceSpec))
-            tracer_->instant(kTraceSpec, "watchdog_rearm", now);
+            tracer_->instant(kTraceSpec, TraceName::kWatchdogRearm, now);
     }
 }
 

@@ -1,10 +1,13 @@
 #include "sim/trace.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <iomanip>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -40,7 +43,97 @@ tidOf(uint32_t cat)
     return 0;
 }
 
+/** Exported event names, indexed by TraceName. */
+constexpr const char *kNames[] = {
+    // Instants.
+    "SPECULATE", "COMMIT", "ABORT", "retire", "retire_spec",
+    "checkpoint_take", "checkpoint_restore", "ssb_forward", "bloom_fp",
+    "watchdog_backoff", "watchdog_degrade", "watchdog_rearm",
+    // Duration spans.
+    "fence_stall", "writeback",
+    // Async spans.
+    "epoch", "pcommit",
+    // Counter tracks.
+    "ssb_occupancy", "rob", "fetchq", "lsq", "storebuf",
+    "inflight_pcommits", "wpq", "epochs",
+};
+static_assert(std::size(kNames) == static_cast<size_t>(TraceName::kCount),
+              "one exported name per TraceName");
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "publishing an event must be a plain copy");
+
+const char *
+boolText(bool value)
+{
+    return value ? "true" : "false";
+}
+
+/**
+ * Render an event's arguments as a JSON-object body fragment (e.g.
+ * `"cursor":42,"first":true`), or nothing when it carries none. The one
+ * place argument text is built; only the exporters call it.
+ */
+void
+writeArgs(std::ostream &os, const TraceEvent &event)
+{
+    const TraceArgs &a = event.args;
+    switch (event.name) {
+      case TraceName::kRetire:
+      case TraceName::kRetireSpec:
+        os << "\"op\":\"" << a.op.toString() << "\"";
+        break;
+      case TraceName::kSpeculate:
+      case TraceName::kAbort:
+      case TraceName::kCheckpointRestore:
+        os << "\"cursor\":" << a.arg0;
+        break;
+      case TraceName::kSsbForward:
+      case TraceName::kBloomFp:
+        os << "\"addr\":" << a.arg0;
+        break;
+      case TraceName::kCheckpointTake:
+        os << "\"slot\":" << a.arg0 << ",\"cursor\":" << a.arg1;
+        break;
+      case TraceName::kWriteback:
+        os << "\"addr\":" << a.arg0 << ",\"invalidate\":"
+           << boolText(a.flags & kTraceInvalidate)
+           << ",\"dirty\":" << boolText(a.flags & kTraceDirty);
+        break;
+      case TraceName::kEpoch:
+        if (event.kind == TraceKind::kAsyncBegin) {
+            os << "\"cursor\":" << a.arg0;
+            if (a.flags & kTraceFirst)
+                os << ",\"first\":true";
+            else
+                os << ",\"parent\":" << a.arg1;
+        } else {
+            os << "\"outcome\":\""
+               << (a.flags & kTraceAborted ? "abort" : "commit") << "\"";
+        }
+        break;
+      case TraceName::kPcommit:
+        if (event.kind == TraceKind::kAsyncBegin)
+            os << "\"marker\":" << a.arg0;
+        break;
+      case TraceName::kWatchdogBackoff:
+        os << "\"streak\":" << a.arg0 << ",\"until\":" << a.arg1;
+        break;
+      case TraceName::kWatchdogDegrade:
+        os << "\"streak\":" << a.arg0 << ",\"fallbackFences\":" << a.arg1;
+        break;
+      default:
+        break;
+    }
+}
+
 } // namespace
+
+const char *
+traceName(TraceName name)
+{
+    size_t index = static_cast<size_t>(name);
+    return index < std::size(kNames) ? kNames[index] : "?";
+}
 
 const char *
 traceCategoryName(uint32_t bit)
@@ -101,18 +194,20 @@ Tracer::emitText(const TraceEvent &event)
 {
     // The classic OooCore::setTraceSink line format, kept so the
     // pipeline_trace example and its tests read the same story.
-    const char *name = event.name;
-    if (std::strcmp(name, "retire_spec") == 0)
+    const char *name = traceName(event.name);
+    if (event.name == TraceName::kRetireSpec)
         name = "retire*";
-    else if (std::strcmp(name, "retire") == 0)
+    else if (event.name == TraceName::kRetire)
         name = "retire ";
     *textSink_ << "[" << std::setw(8) << event.tick << "] " << name;
     if (event.kind == TraceKind::kSpan)
         *textSink_ << " dur=" << event.dur;
     if (event.kind == TraceKind::kCounter)
         *textSink_ << " = " << event.id;
-    if (!event.args.empty())
-        *textSink_ << " {" << event.args << "}";
+    std::ostringstream args;
+    writeArgs(args, event);
+    if (args.tellp() > 0)
+        *textSink_ << " {" << args.str() << "}";
     *textSink_ << "\n";
 }
 
@@ -123,42 +218,37 @@ Tracer::noteForSummary(const TraceEvent &event)
     ++summary_.events;
     switch (event.kind) {
       case TraceKind::kInstant:
-        if (std::strcmp(event.name, "ABORT") == 0)
+        if (event.name == TraceName::kAbort)
             ++summary_.aborts;
-        else if (std::strcmp(event.name, "ssb_forward") == 0)
+        else if (event.name == TraceName::kSsbForward)
             ++summary_.ssbForwards;
-        else if (std::strcmp(event.name, "bloom_fp") == 0)
+        else if (event.name == TraceName::kBloomFp)
             ++summary_.bloomFalsePositives;
         break;
       case TraceKind::kSpan:
-        if (std::strcmp(event.name, "fence_stall") == 0)
+        if (event.name == TraceName::kFenceStall)
             summary_.fenceStall.record(event.dur);
         break;
       case TraceKind::kAsyncBegin:
-        if (std::strcmp(event.name, "epoch") == 0)
+        if (event.name == TraceName::kEpoch)
             ++summary_.epochsBegun;
         break;
       case TraceKind::kAsyncEnd: {
-        if (std::strcmp(event.name, "epoch") == 0)
+        if (event.name == TraceName::kEpoch)
             ++summary_.epochsEnded;
-        size_t open = openAsync_.size();
-        size_t i = 0;
-        for (; i < open; ++i) {
-            const OpenAsync &span = openAsync_[i];
-            if (span.id == event.id &&
-                (span.name == event.name ||
-                 std::strcmp(span.name, event.name) == 0))
-                break;
-        }
-        if (i == open)
+        auto open = std::find_if(
+            openAsync_.begin(), openAsync_.end(), [&](const OpenAsync &s) {
+                return s.id == event.id && s.name == event.name;
+            });
+        if (open == openAsync_.end())
             break;
-        Tick begin = openAsync_[i].begin;
+        Tick begin = open->begin;
         Tick dur = event.tick >= begin ? event.tick - begin : 0;
-        openAsync_[i] = openAsync_.back();
+        *open = openAsync_.back();
         openAsync_.pop_back();
-        if (std::strcmp(event.name, "epoch") == 0)
+        if (event.name == TraceName::kEpoch)
             summary_.epochDuration.record(dur);
-        else if (std::strcmp(event.name, "pcommit") == 0)
+        else if (event.name == TraceName::kPcommit)
             summary_.pcommitLatency.record(dur);
         break;
       }
@@ -169,7 +259,7 @@ Tracer::noteForSummary(const TraceEvent &event)
 }
 
 void
-Tracer::publish(TraceEvent event)
+Tracer::publish(const TraceEvent &event)
 {
     if (event.kind == TraceKind::kAsyncBegin)
         openAsync_.push_back({event.name, event.id, event.tick});
@@ -185,83 +275,47 @@ Tracer::publish(TraceEvent event)
                      "retained for export");
         return;
     }
-    events_.push_back(std::move(event));
+    events_.push_back(event);
 }
 
 void
-Tracer::instant(uint32_t cat, const char *name, Tick tick, std::string args)
+Tracer::instant(uint32_t cat, TraceName name, Tick tick,
+                const TraceArgs &args)
 {
-    if (!enabled(cat))
-        return;
-    TraceEvent e;
-    e.tick = tick;
-    e.kind = TraceKind::kInstant;
-    e.cat = cat;
-    e.name = name;
-    e.args = std::move(args);
-    publish(std::move(e));
+    if (enabled(cat))
+        publish({tick, 0, 0, cat, TraceKind::kInstant, name, args});
 }
 
 void
-Tracer::span(uint32_t cat, const char *name, Tick begin, Tick end,
-             std::string args)
+Tracer::span(uint32_t cat, TraceName name, Tick begin, Tick end,
+             const TraceArgs &args)
 {
-    if (!enabled(cat))
-        return;
-    TraceEvent e;
-    e.tick = begin;
-    e.dur = end >= begin ? end - begin : 0;
-    e.kind = TraceKind::kSpan;
-    e.cat = cat;
-    e.name = name;
-    e.args = std::move(args);
-    publish(std::move(e));
+    Tick dur = end >= begin ? end - begin : 0;
+    if (enabled(cat))
+        publish({begin, dur, 0, cat, TraceKind::kSpan, name, args});
 }
 
 void
-Tracer::asyncBegin(uint32_t cat, const char *name, uint64_t id, Tick tick,
-                   std::string args)
+Tracer::asyncBegin(uint32_t cat, TraceName name, uint64_t id, Tick tick,
+                   const TraceArgs &args)
 {
-    if (!enabled(cat))
-        return;
-    TraceEvent e;
-    e.tick = tick;
-    e.id = id;
-    e.kind = TraceKind::kAsyncBegin;
-    e.cat = cat;
-    e.name = name;
-    e.args = std::move(args);
-    publish(std::move(e));
+    if (enabled(cat))
+        publish({tick, 0, id, cat, TraceKind::kAsyncBegin, name, args});
 }
 
 void
-Tracer::asyncEnd(uint32_t cat, const char *name, uint64_t id, Tick tick,
-                 std::string args)
+Tracer::asyncEnd(uint32_t cat, TraceName name, uint64_t id, Tick tick,
+                 const TraceArgs &args)
 {
-    if (!enabled(cat))
-        return;
-    TraceEvent e;
-    e.tick = tick;
-    e.id = id;
-    e.kind = TraceKind::kAsyncEnd;
-    e.cat = cat;
-    e.name = name;
-    e.args = std::move(args);
-    publish(std::move(e));
+    if (enabled(cat))
+        publish({tick, 0, id, cat, TraceKind::kAsyncEnd, name, args});
 }
 
 void
-Tracer::counter(uint32_t cat, const char *name, Tick tick, uint64_t value)
+Tracer::counter(uint32_t cat, TraceName name, Tick tick, uint64_t value)
 {
-    if (!enabled(cat))
-        return;
-    TraceEvent e;
-    e.tick = tick;
-    e.id = value;
-    e.kind = TraceKind::kCounter;
-    e.cat = cat;
-    e.name = name;
-    publish(std::move(e));
+    if (enabled(cat))
+        publish({tick, 0, value, cat, TraceKind::kCounter, name, {}});
 }
 
 // --------------------------------------------------------------------------
@@ -285,7 +339,7 @@ Tracer::writeChromeJson(std::ostream &os) const
            << info.name << "\"}}";
     }
     for (const TraceEvent &event : events_) {
-        os << ",\n{\"name\":\"" << event.name << "\",\"cat\":\""
+        os << ",\n{\"name\":\"" << traceName(event.name) << "\",\"cat\":\""
            << traceCategoryName(event.cat) << "\",\"pid\":0,\"tid\":"
            << tidOf(event.cat) << ",\"ts\":" << event.tick;
         switch (event.kind) {
@@ -309,7 +363,7 @@ Tracer::writeChromeJson(std::ostream &os) const
         if (event.kind == TraceKind::kCounter) {
             os << "\"value\":" << event.id;
         } else {
-            os << event.args;
+            writeArgs(os, event);
         }
         os << "}}";
     }
@@ -321,12 +375,11 @@ Tracer::writeCounterCsv(std::ostream &os) const
 {
     // Column order = first-seen track order; rows = distinct sample
     // ticks, forward-filled so every row is a complete snapshot.
-    std::vector<const char *> columns;
-    auto columnOf = [&](const char *name) {
-        for (size_t i = 0; i < columns.size(); ++i) {
-            if (std::strcmp(columns[i], name) == 0)
-                return i;
-        }
+    std::vector<TraceName> columns;
+    auto columnOf = [&](TraceName name) {
+        auto it = std::find(columns.begin(), columns.end(), name);
+        if (it != columns.end())
+            return static_cast<size_t>(it - columns.begin());
         columns.push_back(name);
         return columns.size() - 1;
     };
@@ -339,8 +392,8 @@ Tracer::writeCounterCsv(std::ostream &os) const
         rows[event.tick].emplace_back(columnOf(event.name), event.id);
     }
     os << "tick";
-    for (const char *name : columns)
-        os << "," << name;
+    for (TraceName name : columns)
+        os << "," << traceName(name);
     os << "\n";
     std::vector<std::string> last(columns.size());
     for (const auto &[tick, samples] : rows) {
@@ -633,7 +686,7 @@ Tracer::saveState(SnapshotWriter &w) const
     w.putPod(summary_);
     w.putPod<uint64_t>(openAsync_.size());
     for (const OpenAsync &span : openAsync_) {
-        w.putString(span.name);
+        w.putString(traceName(span.name));
         w.putPod(span.id);
         w.putPod(span.begin);
     }
@@ -647,9 +700,12 @@ Tracer::restoreState(SnapshotReader &r)
     uint64_t open = r.getPod<uint64_t>();
     openAsync_.clear();
     for (uint64_t i = 0; i < open; ++i) {
-        restoredNames_.push_back(r.getString());
+        std::string name = r.getString();
+        auto known = std::find(std::begin(kNames), std::end(kNames), name);
+        if (known == std::end(kNames))
+            throw SnapshotError("unknown trace span name '" + name + "'");
         OpenAsync span;
-        span.name = restoredNames_.back().c_str();
+        span.name = static_cast<TraceName>(known - std::begin(kNames));
         r.getPod(span.id);
         r.getPod(span.begin);
         openAsync_.push_back(span);

@@ -13,15 +13,22 @@
  * that flow through the sweep engine.
  *
  * Overhead contract: a null Tracer pointer (the default everywhere) is
- * tracing *off* -- publishers guard with `tracer && tracer->enabled(cat)`
- * before building any argument string, and no simulation state ever
- * depends on the tracer, so a tracing-off run is bit-identical to a run
- * with tracing on (guarded by tests/test_trace.cc). Each run owns its
- * Tracer exclusively; nothing here is shared between sweep workers.
+ * tracing *off* -- publishers guard with `tracer && tracer->enabled(cat)`,
+ * and no simulation state ever depends on the tracer, so a tracing-off
+ * run is bit-identical to a run with tracing on (guarded by
+ * tests/test_trace.cc). With tracing on, publishing is a copy of a
+ * fixed-size POD record: arguments are typed fields, and their text is
+ * rendered only by the exporters (text sink, writeChromeJson,
+ * writeCounterCsv). A summary-only tracer (retainEvents = false, what
+ * Machine and sweeps use) therefore costs about what its histograms
+ * cost and never allocates per event (guarded by
+ * tests/test_steady_alloc.cc). Each run owns its Tracer exclusively;
+ * nothing here is shared between sweep workers.
  *
  * Event schema (see docs/ARCHITECTURE.md "Observability"):
  *   - instants: SPECULATE, COMMIT, ABORT, retire, retire_spec,
- *     checkpoint_take, checkpoint_restore, ssb_forward, bloom_fp
+ *     checkpoint_take, checkpoint_restore, ssb_forward, bloom_fp,
+ *     watchdog_backoff, watchdog_degrade, watchdog_rearm
  *   - duration spans: fence_stall, writeback
  *   - async spans (id-matched begin/end): epoch, pcommit
  *   - counters: ssb_occupancy, rob, fetchq, lsq, storebuf,
@@ -32,11 +39,11 @@
 #define SP_SIM_TRACE_HH
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "isa/microop.hh"
 #include "sim/histogram.hh"
 #include "sim/types.hh"
 
@@ -91,10 +98,74 @@ enum class TraceKind : uint8_t
     kCounter,
 };
 
-/** One published event. `args` is a rendered JSON-object body fragment
- *  (e.g. `"cursor":42,"first":true`) or empty; `name` must be a string
- *  with static storage duration. For kCounter the sampled value is in
- *  `id`; for async events `id` matches begin to end. */
+/** Every event name the simulator publishes (see traceName()). */
+enum class TraceName : uint8_t
+{
+    // Instants.
+    kSpeculate, kCommit, kAbort, kRetire, kRetireSpec, kCheckpointTake,
+    kCheckpointRestore, kSsbForward, kBloomFp, kWatchdogBackoff,
+    kWatchdogDegrade, kWatchdogRearm,
+    // Duration spans.
+    kFenceStall, kWriteback,
+    // Async spans.
+    kEpoch, kPcommit,
+    // Counter tracks.
+    kSsbOccupancy, kRob, kFetchq, kLsq, kStorebuf, kInflightPcommits, kWpq,
+    kEpochs,
+
+    kCount,
+};
+
+/** The exported name of an event ("SPECULATE", "retire_spec", ...). */
+const char *traceName(TraceName name);
+
+/** Flag bits of TraceArgs::flags. */
+enum TraceFlagBits : uint8_t
+{
+    /** epoch begin: first epoch of an episode (else arg1 is the parent). */
+    kTraceFirst = 1u << 0,
+    /** writeback: the block was invalidated (clflush/clflushopt). */
+    kTraceInvalidate = 1u << 1,
+    /** writeback: the block was dirty. */
+    kTraceDirty = 1u << 2,
+    /** epoch end: the epoch aborted (else it committed). */
+    kTraceAborted = 1u << 3,
+};
+
+/**
+ * Typed event arguments. Which fields an event carries, and the JSON
+ * keys they export under, depend on its name and kind:
+ *   - retire, retire_spec: `op`
+ *   - SPECULATE, ABORT, checkpoint_restore: arg0 = cursor
+ *   - ssb_forward, bloom_fp: arg0 = addr
+ *   - checkpoint_take: arg0 = slot, arg1 = cursor
+ *   - writeback: arg0 = addr, flags kTraceInvalidate / kTraceDirty
+ *   - epoch begin: arg0 = cursor, then kTraceFirst or arg1 = parent
+ *   - epoch end: flags kTraceAborted (the outcome)
+ *   - pcommit begin: arg0 = marker
+ *   - watchdog_backoff: arg0 = streak, arg1 = until
+ *   - watchdog_degrade: arg0 = streak, arg1 = fallbackFences
+ * Everything else carries none. The text is rendered in one place
+ * (trace.cc), called only by the exporters.
+ */
+struct TraceArgs
+{
+    uint64_t arg0 = 0;
+    uint64_t arg1 = 0;
+    uint8_t flags = 0;
+    MicroOp op;
+
+    TraceArgs() = default;
+    TraceArgs(uint64_t a0, uint64_t a1 = 0, uint8_t f = 0)
+        : arg0(a0), arg1(a1), flags(f)
+    {
+    }
+    explicit TraceArgs(const MicroOp &retired) : op(retired) {}
+};
+
+/** One published event: a plain fixed-size record. For kCounter the
+ *  sampled value is in `id`; for async events `id` matches begin to
+ *  end. */
 struct TraceEvent
 {
     Tick tick = 0;
@@ -102,10 +173,10 @@ struct TraceEvent
     Tick dur = 0;
     /** Async match id / counter value. */
     uint64_t id = 0;
-    TraceKind kind = TraceKind::kInstant;
     uint32_t cat = 0;
-    const char *name = "";
-    std::string args;
+    TraceKind kind = TraceKind::kInstant;
+    TraceName name = TraceName::kCount;
+    TraceArgs args;
 };
 
 /** Tracing knobs, embeddable in a RunConfig (plain data, sweepable). */
@@ -171,9 +242,8 @@ struct TraceSummary
 /**
  * The event bus: a per-run, single-threaded event recorder.
  *
- * Publishing methods are no-ops for disabled categories, but callers
- * should still guard with enabled() so argument strings are never built
- * on the tracing-off path.
+ * Publishing methods are no-ops for disabled categories; callers still
+ * guard with enabled() so the tracing-off path does no work at all.
  */
 class Tracer
 {
@@ -193,18 +263,18 @@ class Tracer
     void setTextSink(std::ostream *os) { textSink_ = os; }
 
     // --- Publishing -----------------------------------------------------
-    void instant(uint32_t cat, const char *name, Tick tick,
-                 std::string args = {});
+    void instant(uint32_t cat, TraceName name, Tick tick,
+                 const TraceArgs &args = {});
     /** A completed duration span [begin, end]. */
-    void span(uint32_t cat, const char *name, Tick begin, Tick end,
-              std::string args = {});
+    void span(uint32_t cat, TraceName name, Tick begin, Tick end,
+              const TraceArgs &args = {});
     /** Open an async span; `id` must be unique per (name, open span). */
-    void asyncBegin(uint32_t cat, const char *name, uint64_t id, Tick tick,
-                    std::string args = {});
-    void asyncEnd(uint32_t cat, const char *name, uint64_t id, Tick tick,
-                  std::string args = {});
+    void asyncBegin(uint32_t cat, TraceName name, uint64_t id, Tick tick,
+                    const TraceArgs &args = {});
+    void asyncEnd(uint32_t cat, TraceName name, uint64_t id, Tick tick,
+                  const TraceArgs &args = {});
     /** One sample on the counter track `name`. */
-    void counter(uint32_t cat, const char *name, Tick tick, uint64_t value);
+    void counter(uint32_t cat, TraceName name, Tick tick, uint64_t value);
 
     // --- Results --------------------------------------------------------
     /** Retained events, publish order (empty when !retainEvents). */
@@ -228,10 +298,9 @@ class Tracer
 
     /**
      * Snapshot visitors: the incremental summary plus any open async
-     * spans (by name content -- the restored side interns the strings so
-     * the strcmp match path still closes them). Options are rebuilt from
-     * config; retained events are not serialized (a resumed run
-     * re-records from the restore point).
+     * spans (stored by name text, mapped back to the TraceName on
+     * restore). Options are rebuilt from config; retained events are not
+     * serialized (a resumed run re-records from the restore point).
      */
     void saveState(SnapshotWriter &w) const;
     void restoreState(SnapshotReader &r);
@@ -242,28 +311,19 @@ class Tracer
     std::vector<TraceEvent> events_;
     TraceSummary summary_;
     /**
-     * Open async spans, matched on (name pointer/content, id). A flat
-     * vector beats the old "name:id" string-keyed map: spans in flight
-     * are few (epochs bounded by checkpoints, pcommits by the WPQ) but
-     * open/close millions of times per sweep, and each used to build
-     * two heap-allocated key strings.
+     * Open async spans, matched on (name, id). Spans in flight are few
+     * (epochs bounded by checkpoints, pcommits by the WPQ) but open and
+     * close millions of times per sweep, so a flat vector does.
      */
     struct OpenAsync
     {
-        const char *name;
+        TraceName name;
         uint64_t id;
         Tick begin;
     };
     std::vector<OpenAsync> openAsync_;
-    /**
-     * Stable backing for span names restored from a snapshot. Live spans
-     * point at string literals; restored ones point in here (a deque so
-     * growth never moves existing entries). Only ever touched on
-     * restore, never in the steady state.
-     */
-    std::deque<std::string> restoredNames_;
 
-    void publish(TraceEvent event);
+    void publish(const TraceEvent &event);
     void noteForSummary(const TraceEvent &event);
     void emitText(const TraceEvent &event);
 };

@@ -1,6 +1,7 @@
 #include "workloads/tree_workload.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -45,12 +46,11 @@ TreeWorkload::runTx(const std::function<void()> &body)
     // Log set: everything read or written, minus freshly allocated nodes
     // (their pre-state is garbage and undo never needs it) and minus the
     // generation block (logged separately).
-    logSet_.assign(shadow_.readBlocks.begin(), shadow_.readBlocks.end());
-    logSet_.insert(logSet_.end(), shadow_.writtenBlocks.begin(),
-                   shadow_.writtenBlocks.end());
-    std::sort(logSet_.begin(), logSet_.end());
-    logSet_.erase(std::unique(logSet_.begin(), logSet_.end()),
-                  logSet_.end());
+    // Both shadow lists come back sorted and duplicate-free.
+    logSet_.clear();
+    std::set_union(shadow_.readBlocks.begin(), shadow_.readBlocks.end(),
+                   shadow_.writtenBlocks.begin(),
+                   shadow_.writtenBlocks.end(), std::back_inserter(logSet_));
     std::erase_if(logSet_, [&](Addr a) {
         return std::binary_search(fresh_.begin(), fresh_.end(), a) ||
             a == blockAlign(kGenerationAddr);

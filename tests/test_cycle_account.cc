@@ -354,10 +354,9 @@ TEST(CycleAccount, TwoEpochLedgerWithSpeculation)
     // matching pcommit drain completes at the controller.
     std::vector<Tick> specAt, pcommitDone;
     for (const TraceEvent &e : r.events) {
-        std::string name = e.name;
-        if (e.kind == TraceKind::kInstant && name == "SPECULATE")
+        if (e.kind == TraceKind::kInstant && e.name == TraceName::kSpeculate)
             specAt.push_back(e.tick);
-        if (e.kind == TraceKind::kAsyncEnd && name == "pcommit")
+        if (e.kind == TraceKind::kAsyncEnd && e.name == TraceName::kPcommit)
             pcommitDone.push_back(e.tick);
     }
     ASSERT_EQ(specAt.size(), 2u);

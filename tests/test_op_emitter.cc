@@ -236,3 +236,66 @@ TEST(OpEmitter, ShadowReadsFallThroughToImage)
     EXPECT_EQ(em.load(0x3000, 8), 123u);
     em.endShadow();
 }
+
+TEST(OpEmitter, ShadowListsAreSortedAndUnique)
+{
+    MemImage img;
+    OpEmitter em(img, PersistMode::kLogPSf);
+    em.beginShadow();
+    // Interleaved and repeated touches, blocks visited out of order.
+    for (int rep = 0; rep < 3; ++rep) {
+        em.load(0x3000, 8);
+        em.load(0x1008, 8);
+        em.load(0x3010, 8);
+        em.store(0x5000, rep, 8);
+        em.store(0x4008, rep, 8);
+        em.load(0x5000, 8); // read of a written block
+    }
+    auto result = em.endShadow();
+    EXPECT_EQ(result.readBlocks,
+              std::vector<Addr>({0x1000, 0x3000, 0x5000}));
+    EXPECT_EQ(result.writtenBlocks, std::vector<Addr>({0x4000, 0x5000}));
+
+    // The next pass starts empty, even for the block read last.
+    em.beginShadow();
+    em.load(0x5000, 8);
+    result = em.endShadow();
+    EXPECT_EQ(result.readBlocks, std::vector<Addr>({0x5000}));
+    EXPECT_TRUE(result.writtenBlocks.empty());
+}
+
+TEST(OpEmitter, MutedMemcpyMatchesEmittedCopy)
+{
+    // Disjoint, page-crossing and overlapping (forward and backward)
+    // copies: a muted memcpy must leave the image exactly as the
+    // emitting one does.
+    struct Copy
+    {
+        Addr dst;
+        Addr src;
+        unsigned len;
+    };
+    const Copy copies[] = {
+        {0x8000, 0x1000, 200},       {0x2ff0, 0x6000, 96},
+        {0x7000, 0x4ffc, 70},        {0x9010, 0x9000, 100},
+        {0xa000, 0xa010, 100},       {0xb003, 0xc005, 13},
+    };
+    auto fill = [](MemImage &img) {
+        for (Addr a = 0; a < 0xd000; a += 8)
+            img.writeInt(a, a * 0x9e3779b97f4a7c15ull, 8);
+    };
+    for (const Copy &c : copies) {
+        MemImage loud, quiet;
+        fill(loud);
+        fill(quiet);
+        OpEmitter emLoud(loud, PersistMode::kLogPSf);
+        OpEmitter emQuiet(quiet, PersistMode::kLogPSf);
+        emQuiet.setMuted(true);
+        emLoud.memcpy(c.dst, c.src, c.len);
+        emQuiet.memcpy(c.dst, c.src, c.len);
+        EXPECT_TRUE(drain(emQuiet).empty());
+        for (Addr a = 0; a < 0xd000; a += 8)
+            ASSERT_EQ(quiet.readInt(a, 8), loud.readInt(a, 8))
+                << "copy to " << c.dst << " differs at " << a;
+    }
+}

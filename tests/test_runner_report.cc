@@ -75,6 +75,30 @@ TEST(Runner, ProbeInjectionCausesNoDivergence)
     EXPECT_GE(noisy.stats.cycles, quiet.stats.cycles);
 }
 
+TEST(Runner, ShutdownWpqOverfillIsTelemetryNotAWarning)
+{
+    // A Base run's clean shutdown pushes every dirty block through the
+    // WPQ at once. That overfill is by design: it shows up as the
+    // shutdown peak in PerfTelemetry and prints nothing.
+    RunConfig cfg = makeRunConfig(WorkloadKind::kBTree, PersistMode::kNone,
+                                  false, 256, 0.05);
+    testing::internal::CaptureStderr();
+    RunResult r = runExperiment(cfg);
+    std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(err, "");
+    EXPECT_GT(r.perf.wpqPeakShutdown, cfg.sim.mem.wpqEntries);
+    EXPECT_LE(r.perf.wpqPeakTimed, r.perf.wpqPeakShutdown);
+
+    std::ostringstream os;
+    r.perf.print(os);
+    EXPECT_NE(os.str().find("WPQ peak occupancy: timed " +
+                            std::to_string(r.perf.wpqPeakTimed) +
+                            ", shutdown " +
+                            std::to_string(r.perf.wpqPeakShutdown)),
+              std::string::npos);
+}
+
 TEST(Report, CsvMatchesTable)
 {
     Table t({"a", "b"});

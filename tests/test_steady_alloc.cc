@@ -78,17 +78,20 @@ allocationsDuring(const RunConfig &cfg)
     return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-TEST(SteadyStateAllocations, MarginalOpsStayWithinBudget)
-{
-    // Generous enough for page materialization (a growing tree touches
-    // new 4 KiB pages) and pow-2 container doublings, but far below the
-    // several-allocations-per-op cost of per-op container churn.
-    constexpr double kPerOpBudget = 1.0;
-    constexpr uint64_t kFixedSlack = 4096;
+// Generous enough for page materialization (a growing tree touches new
+// 4 KiB pages) and pow-2 container doublings, but far below the
+// several-allocations-per-op cost of per-op container churn.
+constexpr double kPerOpBudget = 1.0;
+constexpr uint64_t kFixedSlack = 4096;
 
+/** Run every workload at 1x and 3x ops and bound the marginal cost. */
+void
+expectMarginalOpsWithinBudget(uint32_t traceCategories)
+{
     for (WorkloadKind kind : allWorkloadKinds()) {
         RunConfig cfg =
             makeRunConfig(kind, PersistMode::kLogPSf, true, 256, 0.25);
+        cfg.trace.categories = traceCategories;
         uint64_t baseOps = cfg.params.simOps;
         ASSERT_GT(baseOps, 0u);
 
@@ -108,6 +111,19 @@ TEST(SteadyStateAllocations, MarginalOpsStayWithinBudget)
             << allocsBase << ", long run " << allocsLong
             << ") -- per-op container churn has crept back in";
     }
+}
+
+TEST(SteadyStateAllocations, MarginalOpsStayWithinBudget)
+{
+    expectMarginalOpsWithinBudget(0);
+}
+
+TEST(SteadyStateAllocations, SummaryOnlyTracingStaysWithinBudget)
+{
+    // The Machine-owned tracer keeps only the summary, so publishing an
+    // event (one per retired non-ALU op under kTraceRetire) must not
+    // allocate: argument text is built only by the exporters.
+    expectMarginalOpsWithinBudget(kTraceAll);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "mem/cache_hierarchy.hh"
 #include "mem/mem_system.hh"
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 #include "sim/trace.hh"
 
 using namespace sp;
@@ -77,22 +78,22 @@ makeTracer(uint32_t cats)
 
 /** Index of the first event with this name; npos when absent. */
 size_t
-firstEvent(const Tracer &tracer, const char *name)
+firstEvent(const Tracer &tracer, TraceName name)
 {
     const auto &events = tracer.events();
     for (size_t i = 0; i < events.size(); ++i) {
-        if (std::string(events[i].name) == name)
+        if (events[i].name == name)
             return i;
     }
     return std::string::npos;
 }
 
 size_t
-countEvents(const Tracer &tracer, const char *name, TraceKind kind)
+countEvents(const Tracer &tracer, TraceName name, TraceKind kind)
 {
     size_t n = 0;
     for (const TraceEvent &event : tracer.events()) {
-        if (event.kind == kind && std::string(event.name) == name)
+        if (event.kind == kind && event.name == name)
             ++n;
     }
     return n;
@@ -109,14 +110,14 @@ TEST(GoldenTrace, SpeculativeLifecycleOrdering)
     Tracer tracer = makeTracer(kTraceAll);
     Stats stats = runSection2(true, &tracer);
 
-    size_t spec = firstEvent(tracer, "SPECULATE");
-    size_t commit = firstEvent(tracer, "COMMIT");
+    size_t spec = firstEvent(tracer, TraceName::kSpeculate);
+    size_t commit = firstEvent(tracer, TraceName::kCommit);
     ASSERT_NE(spec, std::string::npos);
     ASSERT_NE(commit, std::string::npos);
     EXPECT_LT(spec, commit) << "SPECULATE must precede COMMIT";
 
     // The checkpoint is taken the cycle speculation begins.
-    size_t ckpt = firstEvent(tracer, "checkpoint_take");
+    size_t ckpt = firstEvent(tracer, TraceName::kCheckpointTake);
     ASSERT_NE(ckpt, std::string::npos);
     EXPECT_EQ(tracer.events()[ckpt].tick, tracer.events()[spec].tick);
 
@@ -128,7 +129,8 @@ TEST(GoldenTrace, SpeculativeLifecycleOrdering)
               tracer.summary().epochsEnded);
 
     // Speculative retirements happened and were tagged as such.
-    EXPECT_GT(countEvents(tracer, "retire_spec", TraceKind::kInstant), 0u);
+    EXPECT_GT(countEvents(tracer, TraceName::kRetireSpec,
+                          TraceKind::kInstant), 0u);
 
     // pcommit issue->complete spans closed with nonzero latency.
     EXPECT_GE(tracer.summary().pcommitLatency.samples(), stats.pcommits);
@@ -140,8 +142,8 @@ TEST(GoldenTrace, NonSpeculativeRunStallsAtFences)
     Tracer tracer = makeTracer(kTraceAll);
     Stats stats = runSection2(false, &tracer);
 
-    EXPECT_EQ(firstEvent(tracer, "SPECULATE"), std::string::npos);
-    EXPECT_EQ(firstEvent(tracer, "retire_spec"), std::string::npos);
+    EXPECT_EQ(firstEvent(tracer, TraceName::kSpeculate), std::string::npos);
+    EXPECT_EQ(firstEvent(tracer, TraceName::kRetireSpec), std::string::npos);
     EXPECT_EQ(tracer.summary().epochsBegun, 0u);
 
     // The sfences behind pcommits show up as fence-stall spans whose
@@ -152,7 +154,7 @@ TEST(GoldenTrace, NonSpeculativeRunStallsAtFences)
     uint64_t spanned = 0;
     for (const TraceEvent &event : tracer.events()) {
         if (event.kind == TraceKind::kSpan &&
-            std::string(event.name) == "fence_stall")
+            event.name == TraceName::kFenceStall)
             spanned += event.dur;
     }
     EXPECT_EQ(spanned, stats.fenceStallCycles);
@@ -209,6 +211,38 @@ TEST(Tracer, TextBackendKeepsClassicFormat)
     // Summary-only mode still summarized everything it saw.
     EXPECT_GT(tracer.summary().events, 0u);
     EXPECT_TRUE(tracer.events().empty());
+}
+
+TEST(Tracer, SnapshotRestoreClosesOpenSpansByName)
+{
+    // Spans open at the snapshot are stored by name text and must close
+    // after restore against the same TraceName.
+    Tracer before = makeTracer(kTraceAll);
+    before.asyncBegin(kTraceEpoch, TraceName::kEpoch, 7, 10);
+    before.asyncBegin(kTraceMem, TraceName::kPcommit, 7, 12);
+    SnapshotWriter w;
+    before.saveState(w);
+    std::vector<uint8_t> bytes = w.take();
+
+    Tracer after = makeTracer(kTraceAll);
+    SnapshotReader r(bytes);
+    after.restoreState(r);
+    EXPECT_TRUE(r.exhausted());
+    after.asyncEnd(kTraceMem, TraceName::kPcommit, 7, 15);
+    after.asyncEnd(kTraceEpoch, TraceName::kEpoch, 7, 30);
+    EXPECT_EQ(after.summary().pcommitLatency.samples(), 1u);
+    EXPECT_EQ(after.summary().pcommitLatency.max(), 3u);
+    EXPECT_EQ(after.summary().epochDuration.samples(), 1u);
+    EXPECT_EQ(after.summary().epochDuration.max(), 20u);
+
+    // A span name no publisher uses is a corrupt snapshot.
+    std::string text(bytes.begin(), bytes.end());
+    size_t at = text.find("pcommit");
+    ASSERT_NE(at, std::string::npos);
+    bytes[at] = 'X';
+    Tracer rejected = makeTracer(kTraceAll);
+    SnapshotReader bad(bytes);
+    EXPECT_THROW(rejected.restoreState(bad), SnapshotError);
 }
 
 // --------------------------------------------------------------------------
@@ -280,6 +314,61 @@ TEST(Exporters, EventCapDropsButKeepsCounting)
     EXPECT_GT(tracer.summary().dropped, 0u);
     EXPECT_EQ(tracer.summary().events,
               tracer.events().size() + tracer.summary().dropped);
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over a byte string. */
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t hash = 1469598103934665603ull;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+struct ExportHashes
+{
+    uint64_t chrome;
+    uint64_t csv;
+    uint64_t text;
+};
+
+/** Hash every exporter's output for one traced Section 2.2 run. */
+ExportHashes
+hashSection2Exports(bool sp)
+{
+    Tracer tracer = makeTracer(kTraceAll);
+    std::ostringstream text;
+    tracer.setTextSink(&text);
+    runSection2(sp, &tracer);
+    std::ostringstream chrome;
+    std::ostringstream csv;
+    tracer.writeChromeJson(chrome);
+    tracer.writeCounterCsv(csv);
+    return {fnv1a(chrome.str()), fnv1a(csv.str()), fnv1a(text.str())};
+}
+
+} // namespace
+
+TEST(Exporters, GoldenSection2ExportBytes)
+{
+    // Pinned exporter bytes for the Section 2.2 program with every
+    // category on. Any change to event order, argument rendering or an
+    // exporter's layout moves these hashes.
+    ExportHashes spec = hashSection2Exports(true);
+    EXPECT_EQ(spec.chrome, 4592770860236251730ull);
+    EXPECT_EQ(spec.csv, 1397675782970843554ull);
+    EXPECT_EQ(spec.text, 7830977715432244878ull);
+
+    ExportHashes base = hashSection2Exports(false);
+    EXPECT_EQ(base.chrome, 14719821794165188444ull);
+    EXPECT_EQ(base.csv, 8403240927519077194ull);
+    EXPECT_EQ(base.text, 8395549735064234775ull);
 }
 
 // --------------------------------------------------------------------------
