@@ -80,6 +80,11 @@ struct MicroOp
     uint16_t dep = 0;
     /** Run length for kAlu (>=1); always 1 for other types. */
     uint16_t repeat = 1;
+    /**
+     * Always zero. Names the bytes that would otherwise be padding, so
+     * the raw bytes snapshots serialize are fully determined.
+     */
+    uint16_t reserved = 0;
     /** Effective address for memory ops. */
     Addr addr = 0;
     /** Store payload (low `size` bytes are meaningful). */

@@ -182,16 +182,16 @@ OpEmitter::overlayBlock(Addr blockAddr)
         if (idx == overlayBlocks_.size())
             overlayBlocks_.emplace_back();
         overlayIndex_.insert(blockAddr, idx);
-        // Only shadow writes open overlay blocks: this is the first
-        // write to the block in this pass.
+        // Only writes open overlay blocks: this is the first write to
+        // the block in this pass.
         shadowWrites_.push_back(blockAddr);
         image_.readBlock(blockAddr, overlayBlocks_[idx].data());
     }
     return overlayBlocks_[idx];
 }
 
-uint64_t
-OpEmitter::shadowRead(Addr addr, unsigned size)
+void
+OpEmitter::recordRead(Addr addr, unsigned size)
 {
     Addr blk_addr = blockAlign(addr);
     SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
@@ -205,6 +205,13 @@ OpEmitter::shadowRead(Addr addr, unsigned size)
         shadowReads_.push_back(blk_addr);
     }
     lastShadowRead_ = blk_addr;
+}
+
+uint64_t
+OpEmitter::shadowRead(Addr addr, unsigned size)
+{
+    recordRead(addr, size);
+    Addr blk_addr = blockAlign(addr);
     uint32_t idx = overlayIndex_.find(blk_addr);
     if (idx == AddrIndexMap::kNotFound)
         return image_.readInt(addr, size);
@@ -226,16 +233,24 @@ OpEmitter::shadowWrite(Addr addr, uint64_t value, unsigned size)
 }
 
 void
-OpEmitter::beginShadow()
+OpEmitter::beginPass()
 {
-    SP_ASSERT(!shadow_, "nested shadow passes are not supported");
-    shadow_ = true;
+    SP_ASSERT(!shadow_ && !journal_,
+              "nested shadow or journal passes are not supported");
     overlayIndex_.clear();
     overlayCount_ = 0;
+    journalStashed_ = false;
     shadowReadIndex_.clear();
     lastShadowRead_ = kNoShadowRead;
     shadowReads_.clear();
     shadowWrites_.clear();
+}
+
+void
+OpEmitter::beginShadow()
+{
+    beginPass();
+    shadow_ = true;
 }
 
 void
@@ -251,6 +266,41 @@ OpEmitter::endShadow(ShadowResult &out)
     // Both lists hold each block once already; only the order is left.
     std::sort(out.readBlocks.begin(), out.readBlocks.end());
     std::sort(out.writtenBlocks.begin(), out.writtenBlocks.end());
+}
+
+void
+OpEmitter::beginJournal()
+{
+    SP_ASSERT(muted_, "journal passes run muted only");
+    beginPass();
+    journal_ = true;
+}
+
+void
+OpEmitter::endJournal(ShadowResult &out)
+{
+    SP_ASSERT(journal_, "endJournal outside a journal pass");
+    journal_ = false;
+    journalStashed_ = true;
+    out.readBlocks.swap(shadowReads_);
+    // The stash stays indexed by shadowWrites_, so copy rather than swap.
+    out.writtenBlocks.assign(shadowWrites_.begin(), shadowWrites_.end());
+    shadowReadIndex_.clear();
+    std::sort(out.readBlocks.begin(), out.readBlocks.end());
+    std::sort(out.writtenBlocks.begin(), out.writtenBlocks.end());
+}
+
+void
+OpEmitter::exchangeJournal()
+{
+    SP_ASSERT(journalStashed_, "exchangeJournal without a journal pass");
+    uint8_t cur[kBlockBytes];
+    for (uint32_t i = 0; i < overlayCount_; ++i) {
+        Addr blk = shadowWrites_[i];
+        image_.readBlock(blk, cur);
+        image_.writeBlock(blk, overlayBlocks_[i].data());
+        std::copy_n(cur, kBlockBytes, overlayBlocks_[i].data());
+    }
 }
 
 OpEmitter::ShadowResult
@@ -270,6 +320,8 @@ OpEmitter::load(Addr addr, unsigned size, Handle dep, Handle *handle)
             *handle = kNoDep;
         return shadowRead(addr, size);
     }
+    if (journal_)
+        recordRead(addr, size);
     uint64_t value = image_.readInt(addr, size);
     // Init-phase (muted) emission is a no-op; skip even constructing the
     // micro-op -- tens of millions flow through here per run.
@@ -289,9 +341,17 @@ void
 OpEmitter::store(Addr addr, uint64_t value, unsigned size, Handle dep)
 {
     SP_ASSERT(size >= 1 && size <= 8, "store size out of range");
+    ++stores_;
     if (shadow_) {
         shadowWrite(addr, value, size);
         return;
+    }
+    if (journal_) {
+        // The first write to a block stashes its pre-image.
+        Addr blk_addr = blockAlign(addr);
+        SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
+                  "journal write crosses a block boundary");
+        overlayBlock(blk_addr);
     }
     image_.writeInt(addr, value, size);
     if (muted_)
@@ -340,8 +400,11 @@ OpEmitter::memcpy(Addr dst, Addr src, unsigned len, Handle dep)
 {
     // Muted (init phase) copies emit nothing, so move the bytes in
     // block-sized pieces. A copy whose ranges overlap keeps the
-    // chunk-by-chunk path below, which defines its result.
-    if (muted_ && !shadow_ && (dst + len <= src || src + len <= dst)) {
+    // chunk-by-chunk path below, which defines its result, and so do
+    // shadow and journal passes, which record the blocks it touches.
+    if (muted_ && !shadow_ && !journal_ &&
+        (dst + len <= src || src + len <= dst)) {
+        stores_ += (len + 7) / 8; // the chunked path's store count
         uint8_t buf[kBlockBytes];
         for (unsigned off = 0; off < len; off += kBlockBytes) {
             unsigned chunk = std::min<unsigned>(kBlockBytes, len - off);
@@ -411,7 +474,8 @@ OpEmitter::persistBarrier()
 void
 OpEmitter::saveState(SnapshotWriter &w) const
 {
-    SP_ASSERT(!shadow_, "cannot snapshot inside a shadow pass");
+    SP_ASSERT(!shadow_ && !journal_,
+              "cannot snapshot inside a shadow or journal pass");
     w.putTag("EMIT");
     w.putPod(muted_);
     w.putRing(queue_);
@@ -427,7 +491,8 @@ OpEmitter::saveState(SnapshotWriter &w) const
 void
 OpEmitter::restoreState(SnapshotReader &r)
 {
-    SP_ASSERT(!shadow_, "cannot restore inside a shadow pass");
+    SP_ASSERT(!shadow_ && !journal_,
+              "cannot restore inside a shadow or journal pass");
     r.checkTag("EMIT");
     r.getPod(muted_);
     r.getRing(queue_);

@@ -208,13 +208,14 @@ class OpEmitter : public Program
     /** Ops waiting to be fetched (diagnostics). */
     size_t queued() const { return queue_.size(); }
 
-    // --- Shadow execution -------------------------------------------------
+    // --- Shadow and journal execution -------------------------------------
     /**
-     * Blocks touched by a shadow pass. Tree workloads dry-run an operation
-     * in shadow mode to learn the exact set of blocks it reads and writes;
-     * that set becomes the undo log ("conservatively log all nodes that
-     * may be required for rebalancing", paper Section 3.2), after which
-     * the operation re-executes for real.
+     * Blocks touched by a shadow or journal pass. Tree workloads dry-run
+     * an operation in shadow mode to learn the exact set of blocks it
+     * reads and writes; that set becomes the undo log ("conservatively
+     * log all nodes that may be required for rebalancing", paper Section
+     * 3.2), after which the operation re-executes for real. Muted, a
+     * journal pass learns the same set while executing for real.
      */
     struct ShadowResult
     {
@@ -240,6 +241,36 @@ class OpEmitter : public Program
     void endShadow(ShadowResult &out);
 
     bool inShadow() const { return shadow_; }
+
+    /**
+     * Enter journal mode, the shadow pass inverted for muted execution:
+     * loads and stores hit the image as usual, touched blocks are
+     * recorded exactly as a shadow pass records them, and each block's
+     * first write stashes its pre-image. A muted transaction thereby
+     * runs its body once and still logs the bytes the two-pass protocol
+     * logs (exchangeJournal). Requires a muted emitter.
+     */
+    void beginJournal();
+
+    /**
+     * Leave journal mode: swaps the touched-block lists into `out`
+     * (sorted, deduplicated, as endShadow does). The stashed pre-images
+     * stay until the next beginShadow/beginJournal.
+     */
+    void endJournal(ShadowResult &out);
+
+    /**
+     * Swap every stashed pre-image with the image's current block. The
+     * first call rolls the written blocks back to their state before
+     * the journal pass; the second restores the post-pass image.
+     */
+    void exchangeJournal();
+
+    /**
+     * Stores executed so far, emitted or not: a caller compares two
+     * readings to learn whether code in between wrote anything.
+     */
+    uint64_t stores() const { return stores_; }
 
     void
     collectPoolStats(std::vector<PoolStat> &out) const override
@@ -269,9 +300,16 @@ class OpEmitter : public Program
 
     bool evictOnPersist_ = false;
     bool shadow_ = false;
-    /** blockAddr -> index into overlayBlocks_; cleared per shadow pass. */
+    bool journal_ = false;
+    /** The pre-images of the last journal pass are still stashed. */
+    bool journalStashed_ = false;
+    uint64_t stores_ = 0;
+    /** blockAddr -> index into overlayBlocks_; cleared per pass. */
     AddrIndexMap overlayIndex_;
-    /** Pooled overlay block storage; grows to high-water, then reused. */
+    /**
+     * Pooled block storage; grows to high-water, then reused. A shadow
+     * pass keeps its overlay here, a journal pass its pre-images.
+     */
     std::vector<std::array<uint8_t, kBlockBytes>> overlayBlocks_;
     /** Blocks of overlayBlocks_ in use this pass. */
     uint32_t overlayCount_ = 0;
@@ -280,10 +318,16 @@ class OpEmitter : public Program
     /** Block of the previous shadow read, which skips the probe. */
     static constexpr Addr kNoShadowRead = ~Addr{0};
     Addr lastShadowRead_ = kNoShadowRead;
-    /** Blocks read / written this pass, each once, in first-touch order. */
+    /**
+     * Blocks read / written this pass, each once, in first-touch order.
+     * shadowWrites_[i] is the block whose contents overlayBlocks_[i]
+     * holds.
+     */
     std::vector<Addr> shadowReads_;
     std::vector<Addr> shadowWrites_;
 
+    void beginPass();
+    void recordRead(Addr addr, unsigned size);
     uint64_t shadowRead(Addr addr, unsigned size);
     void shadowWrite(Addr addr, uint64_t value, unsigned size);
     std::array<uint8_t, kBlockBytes> &overlayBlock(Addr blockAddr);

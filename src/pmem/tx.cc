@@ -43,10 +43,10 @@ Tx::appendEntry(Addr addr, unsigned len)
         // below copies) plus the descriptor, so a corrupt length can
         // never silently derail the recovery walk. The chain models the
         // software checksum cost.
-        std::vector<uint8_t> buf(len);
-        em_.image().read(addr, buf.data(), len);
+        crcBuf_.resize(len);
+        em_.image().read(addr, crcBuf_.data(), len);
         uint64_t crcw = packEntryCrc(logEntryDescCrc(addr, len),
-                                     crc32(buf.data(), len));
+                                     crc32(crcBuf_.data(), len));
         em_.store(cursor_ + 16, crcw, 8);
         em_.aluChain(4 + len / 8);
     }
@@ -149,29 +149,29 @@ Tx::commitUpdates()
         // logged or tracked, inside step 3 so slot and data become
         // durable under the same barrier. Lines are deduped and sorted
         // so the emitted op stream is independent of logging order.
-        std::vector<Addr> lines;
+        lines_.clear();
         for (const auto &[addr, len] : tracked_) {
             Addr last = blockAlign(addr + len - 1);
             for (Addr line = blockAlign(addr); line <= last;
                  line += kBlockBytes) {
                 if (crcCovered(line))
-                    lines.push_back(line);
+                    lines_.push_back(line);
             }
         }
-        std::sort(lines.begin(), lines.end());
-        lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+        std::sort(lines_.begin(), lines_.end());
+        lines_.erase(std::unique(lines_.begin(), lines_.end()), lines_.end());
 
-        std::vector<Addr> slotBlocks;
-        for (Addr line : lines) {
+        slotBlocks_.clear();
+        for (Addr line : lines_) {
             em_.aluChain(8); // checksum the 64B line
             uint64_t slot = kCrcSlotValid | crcLine(em_.image(), line);
             em_.store(crcSlotAddr(line), slot, 8);
-            slotBlocks.push_back(blockAlign(crcSlotAddr(line)));
+            slotBlocks_.push_back(blockAlign(crcSlotAddr(line)));
         }
-        slotBlocks.erase(
-            std::unique(slotBlocks.begin(), slotBlocks.end()),
-            slotBlocks.end());
-        for (Addr block : slotBlocks)
+        slotBlocks_.erase(
+            std::unique(slotBlocks_.begin(), slotBlocks_.end()),
+            slotBlocks_.end());
+        for (Addr block : slotBlocks_)
             em_.clwb(block);
     }
     em_.persistBarrier(); // step 3: the updates are durable

@@ -105,6 +105,12 @@ class Tx
     bool checks_ = false;
     /** Covered ranges whose CRC slots step 3 must refresh. */
     std::vector<std::pair<Addr, unsigned>> tracked_;
+    // Checksum scratch, reused across transactions so the steady state
+    // allocates nothing: logged pre-image bytes, commit-time lines and
+    // their CRC slot blocks.
+    std::vector<uint8_t> crcBuf_;
+    std::vector<Addr> lines_;
+    std::vector<Addr> slotBlocks_;
 
     bool active() const { return em_.mode() >= PersistMode::kLog; }
 

@@ -127,9 +127,10 @@ AvlTreeIncrementalWorkload::doOperation()
     bool found = collectPath(key, path);
 
     // Step 0 (paper Figure 4: "node is logged prior to insertion"): the
-    // structural change, one small transaction. The body runs twice
-    // (shadow + real) and the delete case extends the path, so each pass
-    // works on a fresh copy; the real (last) pass's extension survives.
+    // structural change, one small transaction. The body may run twice
+    // (shadow + real, on unmuted logged runs; muted and Base runs take
+    // one pass) and the delete case extends the path, so each pass works
+    // on a fresh copy; the real (last) pass's extension survives.
     std::vector<Link> extended;
     runTx([&] {
         extended = path;

@@ -10,6 +10,16 @@
  * the transaction then undo-logs the set and the operation re-executes for
  * real. One transaction -- four pcommits -- per operation, whether or not
  * rebalancing triggers, exactly as the paper argues for full logging.
+ *
+ * The two passes are needed only where the emitted order matters: an
+ * unmuted run with the transaction active must emit the undo log before
+ * the updates. Elsewhere the operation runs once. A muted run (setup's
+ * #InitOps fast-forward, functional replay) journals instead: the body
+ * updates the image while the emitter records the same block set and
+ * stashes each written block's pre-image; the log phase then runs with
+ * the pre-images swapped back in, so the undo log holds the bytes the
+ * two-pass protocol logs. The Base variant has no transaction at all,
+ * so nothing consumes the block set and the op stream is the body's own.
  */
 
 #ifndef SP_WORKLOADS_TREE_WORKLOAD_HH
@@ -22,7 +32,7 @@
 namespace sp
 {
 
-/** Shared two-pass transactional driver for tree benchmarks. */
+/** Shared full-logging transactional driver for tree benchmarks. */
 class TreeWorkload : public Workload
 {
   public:
@@ -31,9 +41,9 @@ class TreeWorkload : public Workload
   protected:
     /**
      * One insert-or-delete operation: search for `key`; delete the node
-     * if found, insert it otherwise. Runs twice per doOperation() -- once
-     * in shadow, once for real -- so it must be deterministic and must
-     * perform all memory access through the emitter (never through
+     * if found, insert it otherwise. May run twice per doOperation() --
+     * once in shadow, once for real -- so it must be deterministic and
+     * must perform all memory access through the emitter (never through
      * image() directly).
      */
     virtual void performOp(uint64_t key) = 0;
@@ -44,13 +54,20 @@ class TreeWorkload : public Workload
     Addr newNode();
 
     /**
-     * Run one transaction of the two-pass protocol around `body`: shadow
-     * pass to learn the touched-block set, undo-log it, re-execute for
-     * real, clwb the written blocks, bump the generation, commit. If the
-     * shadow pass writes nothing, `body` runs once without a transaction
-     * (a read-only step costs no barriers).
+     * Run one full-logging transaction around `body`: learn the
+     * touched-block set, undo-log it, apply the body, clwb the written
+     * blocks, bump the generation, commit. If the body writes nothing
+     * there is no transaction (a read-only step costs no barriers).
      *
-     * @return true if a transaction was committed (body wrote something).
+     * Unmuted with the transaction active, this is the two-pass
+     * protocol: a shadow pass learns the set and the body re-executes
+     * after the log is sealed. Muted, the body runs once in a journal
+     * pass and the log phase reads the stashed pre-images, which are the
+     * bytes the shadow protocol would log. In the Base variant the body
+     * runs once, plainly.
+     *
+     * @return true if the body wrote something (a transaction was
+     *         committed unless the variant has none).
      */
     bool runTx(const std::function<void()> &body);
 
@@ -59,10 +76,19 @@ class TreeWorkload : public Workload
   private:
     std::vector<Addr> freshNodes_;
     // Per-transaction scratch, reused across operations so the steady
-    // state allocates nothing: shadow result, sorted fresh set, log set.
+    // state allocates nothing: touched blocks, sorted fresh set, log set.
     OpEmitter::ShadowResult shadow_;
     std::vector<Addr> fresh_;
     std::vector<Addr> logSet_;
+
+    /** runTx for a muted emitter: one journal pass. */
+    bool runJournalTx(const std::function<void()> &body);
+    /** Derive fresh_ and logSet_ from shadow_ and freshNodes_. */
+    void buildLogSet();
+    /** Undo-log logSet_ and seal (steps 1 and 2). */
+    void logPhase();
+    /** clwb the written blocks, bump the generation, commit (3 and 4). */
+    void commitPhase();
 };
 
 } // namespace sp

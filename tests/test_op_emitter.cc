@@ -33,6 +33,14 @@ countType(const std::vector<MicroOp> &ops, OpType t)
                       [t](const MicroOp &op) { return op.type == t; }));
 }
 
+/** Deterministic contents over [0, 0xd000). */
+void
+fillImage(MemImage &img)
+{
+    for (Addr a = 0; a < 0xd000; a += 8)
+        img.writeInt(a, a * 0x9e3779b97f4a7c15ull, 8);
+}
+
 } // namespace
 
 TEST(OpEmitter, StoreUpdatesImageAndEmits)
@@ -280,14 +288,10 @@ TEST(OpEmitter, MutedMemcpyMatchesEmittedCopy)
         {0x7000, 0x4ffc, 70},        {0x9010, 0x9000, 100},
         {0xa000, 0xa010, 100},       {0xb003, 0xc005, 13},
     };
-    auto fill = [](MemImage &img) {
-        for (Addr a = 0; a < 0xd000; a += 8)
-            img.writeInt(a, a * 0x9e3779b97f4a7c15ull, 8);
-    };
     for (const Copy &c : copies) {
         MemImage loud, quiet;
-        fill(loud);
-        fill(quiet);
+        fillImage(loud);
+        fillImage(quiet);
         OpEmitter emLoud(loud, PersistMode::kLogPSf);
         OpEmitter emQuiet(quiet, PersistMode::kLogPSf);
         emQuiet.setMuted(true);
@@ -298,4 +302,113 @@ TEST(OpEmitter, MutedMemcpyMatchesEmittedCopy)
             ASSERT_EQ(quiet.readInt(a, 8), loud.readInt(a, 8))
                 << "copy to " << c.dst << " differs at " << a;
     }
+}
+
+namespace
+{
+
+/**
+ * A transaction-shaped body: repeated and out-of-order reads, a
+ * read-modify-write, a block written twice, and a muted non-overlapping
+ * memcpy spanning several blocks.
+ */
+void
+journalBody(OpEmitter &em)
+{
+    for (int rep = 0; rep < 2; ++rep) {
+        uint64_t v = em.load(0x3000, 8);
+        em.load(0x1008, 8);
+        em.store(0x5000, v + rep, 8);
+        em.store(0x4008, em.load(0x5000, 8) ^ 0xff, 8);
+    }
+    em.memcpy(0x8000, 0x6040, 192);
+}
+
+} // namespace
+
+TEST(OpEmitter, JournalRecordsWhatShadowRecords)
+{
+    MemImage shadowImg, journalImg;
+    fillImage(shadowImg);
+    fillImage(journalImg);
+    OpEmitter shadowEm(shadowImg, PersistMode::kLogPSf);
+    OpEmitter journalEm(journalImg, PersistMode::kLogPSf);
+    shadowEm.setMuted(true);
+    journalEm.setMuted(true);
+
+    shadowEm.beginShadow();
+    journalBody(shadowEm);
+    OpEmitter::ShadowResult shadow = shadowEm.endShadow();
+
+    OpEmitter::ShadowResult journal;
+    journalEm.beginJournal();
+    journalBody(journalEm);
+    journalEm.endJournal(journal);
+
+    EXPECT_EQ(journal.readBlocks, shadow.readBlocks);
+    EXPECT_EQ(journal.writtenBlocks, shadow.writtenBlocks);
+    // The memcpy's source and destination blocks are recorded too.
+    EXPECT_TRUE(std::binary_search(journal.readBlocks.begin(),
+                                   journal.readBlocks.end(), 0x60c0));
+    EXPECT_TRUE(std::binary_search(journal.writtenBlocks.begin(),
+                                   journal.writtenBlocks.end(), 0x8080));
+    EXPECT_TRUE(drain(journalEm).empty());
+}
+
+TEST(OpEmitter, JournalExchangeSwapsPreImagesInAndOut)
+{
+    MemImage pre, post, img;
+    fillImage(pre);
+    fillImage(post);
+    fillImage(img);
+    {
+        OpEmitter em(post, PersistMode::kLogPSf);
+        em.setMuted(true);
+        journalBody(em);
+    }
+    OpEmitter em(img, PersistMode::kLogPSf);
+    em.setMuted(true);
+    OpEmitter::ShadowResult touched;
+    em.beginJournal();
+    journalBody(em);
+    em.endJournal(touched);
+    ASSERT_EQ(img.hash(), post.hash()); // the journal pass ran for real
+
+    em.exchangeJournal();
+    EXPECT_EQ(img.hash(), pre.hash());
+    em.exchangeJournal();
+    EXPECT_EQ(img.hash(), post.hash());
+    for (Addr a = 0; a < 0xd000; a += 8)
+        ASSERT_EQ(img.readInt(a, 8), post.readInt(a, 8)) << "at " << a;
+}
+
+TEST(OpEmitter, StoresCountsMutedAndEmittedWrites)
+{
+    MemImage img;
+    OpEmitter em(img, PersistMode::kNone);
+    em.load(0x1000, 8);
+    EXPECT_EQ(em.stores(), 0u);
+    em.store(0x1000, 1, 8);
+    em.setMuted(true);
+    em.store(0x1008, 1, 8);
+    em.memcpy(0x2000, 0x1000, 64);
+    em.memcpy(0x2000, 0x1000, 0);
+    // The block fast path counts the eight stores the chunked path makes.
+    EXPECT_EQ(em.stores(), 10u);
+}
+
+TEST(OpEmitterDeathTest, JournalNeedsMutedEmitterOutsideShadow)
+{
+    MemImage img;
+    OpEmitter loud(img, PersistMode::kLogPSf);
+    EXPECT_DEATH(loud.beginJournal(), "muted");
+
+    OpEmitter quiet(img, PersistMode::kLogPSf);
+    quiet.setMuted(true);
+    quiet.beginShadow();
+    EXPECT_DEATH(quiet.beginJournal(), "nested");
+
+    OpEmitter fresh(img, PersistMode::kLogPSf);
+    fresh.setMuted(true);
+    EXPECT_DEATH(fresh.exchangeJournal(), "without a journal pass");
 }

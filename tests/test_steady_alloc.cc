@@ -86,12 +86,14 @@ constexpr uint64_t kFixedSlack = 4096;
 
 /** Run every workload at 1x and 3x ops and bound the marginal cost. */
 void
-expectMarginalOpsWithinBudget(uint32_t traceCategories)
+expectMarginalOpsWithinBudget(uint32_t traceCategories,
+                              bool checksums = false)
 {
     for (WorkloadKind kind : allWorkloadKinds()) {
         RunConfig cfg =
             makeRunConfig(kind, PersistMode::kLogPSf, true, 256, 0.25);
         cfg.trace.categories = traceCategories;
+        cfg.params.checksums = checksums;
         uint64_t baseOps = cfg.params.simOps;
         ASSERT_GT(baseOps, 0u);
 
@@ -124,6 +126,14 @@ TEST(SteadyStateAllocations, SummaryOnlyTracingStaysWithinBudget)
     // event (one per retired non-ALU op under kTraceRetire) must not
     // allocate: argument text is built only by the exporters.
     expectMarginalOpsWithinBudget(kTraceAll);
+}
+
+TEST(SteadyStateAllocations, ChecksummedRunsStayWithinBudget)
+{
+    // The checksummed log format CRCs every logged pre-image and
+    // refreshes the CRC slots of every covered line at commit; both run
+    // per transaction and must reuse their scratch.
+    expectMarginalOpsWithinBudget(0, /*checksums=*/true);
 }
 
 } // namespace
