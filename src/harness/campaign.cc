@@ -1,7 +1,9 @@
 #include "harness/campaign.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <sstream>
 
 #include "harness/sweep.hh"
@@ -37,6 +39,25 @@ campaignWorkloads()
 namespace
 {
 
+/**
+ * One structure's post-setup state, shared by every run and replay of
+ * that structure and released by the last cell that uses it, so the
+ * campaign holds the states of the structures still in flight rather
+ * than of all of them.
+ */
+struct SharedSetup
+{
+    std::unique_ptr<WorkloadSetup> state;
+    /** Cells that have yet to finish with `state`. */
+    std::atomic<size_t> users{0};
+
+    void release()
+    {
+        if (users.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            state.reset();
+    }
+};
+
 /** Per-workload context every cell of that workload shares. */
 struct Prep
 {
@@ -51,6 +72,15 @@ struct Prep
     RunConfig csBase;
     Tick csRefCycles = 0;
     uint64_t csRefGeneration = 0;
+    /** Post-setup states of base (crash and conflict cells) and csBase
+     *  (media cells). */
+    SharedSetup setup;
+    SharedSetup csSetup;
+
+    SharedSetup &setupFor(CampaignCellKind kind)
+    {
+        return kind == CampaignCellKind::kMedia ? csSetup : setup;
+    }
 };
 
 /** One cell of the campaign grid, fully described before execution. */
@@ -69,10 +99,11 @@ struct Cell
  * double/triple-crash schedules), replay, compare.
  */
 void
-runCrashCell(const Cell &cell, const Prep &prep, unsigned doubleCrashDraws,
-             CampaignCellResult &out)
+runCrashCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
+             unsigned doubleCrashDraws, CampaignCellResult &out)
 {
-    RunResult crashed = runExperiment(cell.cfg, cell.crashAt);
+    RunResult crashed =
+        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
     out.outcome = crashed.outcome;
     out.cycles = crashed.stats.cycles;
     out.aborts = crashed.stats.aborts;
@@ -100,7 +131,7 @@ runCrashCell(const Cell &cell, const Prep &prep, unsigned doubleCrashDraws,
         if (k > 1)
             recoverImageInterrupted(partial, k / 2); // triple crash
         recoverImage(partial);
-        if (partial.hash() != direct.hash()) {
+        if (!sameContents(partial, direct)) {
             out.error = "interrupted recovery diverged (draw " +
                 std::to_string(draw) + ", k=" + std::to_string(k) + ")";
             return;
@@ -115,8 +146,7 @@ runCrashCell(const Cell &cell, const Prep &prep, unsigned doubleCrashDraws,
         return;
     }
 
-    auto replay = makeWorkload(cell.cfg.kind, cell.cfg.params);
-    replay->setup();
+    std::unique_ptr<Workload> replay = setup.instantiate();
     replay->runFunctionalToGeneration(out.recoveredGeneration);
     std::string why;
     if (!replay->checkImage(direct, &why)) {
@@ -133,9 +163,10 @@ runCrashCell(const Cell &cell, const Prep &prep, unsigned doubleCrashDraws,
 /** Execute one conflict cell: run under the adversary, compare final
  *  durable state against the golden non-speculative run. */
 void
-runConflictCell(const Cell &cell, const Prep &prep, CampaignCellResult &out)
+runConflictCell(const Cell &cell, const Prep &prep,
+                const WorkloadSetup &setup, CampaignCellResult &out)
 {
-    RunResult r = runExperiment(cell.cfg);
+    RunResult r = runExperiment(cell.cfg, 0, nullptr, &setup);
     out.outcome = r.outcome;
     out.cycles = r.stats.cycles;
     out.aborts = r.stats.aborts;
@@ -157,10 +188,11 @@ runConflictCell(const Cell &cell, const Prep &prep, CampaignCellResult &out)
  * reported -- zero silent escapes.
  */
 void
-runMediaCell(const Cell &cell, const Prep &prep, const CampaignOptions &opts,
-             CampaignCellResult &out)
+runMediaCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
+             const CampaignOptions &opts, CampaignCellResult &out)
 {
-    RunResult crashed = runExperiment(cell.cfg, cell.crashAt);
+    RunResult crashed =
+        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
     out.outcome = crashed.outcome;
     out.cycles = crashed.stats.cycles;
     out.aborts = crashed.stats.aborts;
@@ -195,8 +227,7 @@ runMediaCell(const Cell &cell, const Prep &prep, const CampaignOptions &opts,
             std::to_string(prep.csRefGeneration);
         return;
     }
-    auto replay = makeWorkload(cell.cfg.kind, cell.cfg.params);
-    replay->setup();
+    std::unique_ptr<Workload> replay = setup.instantiate();
     replay->runFunctionalToGeneration(out.recoveredGeneration);
     std::string why;
     if (!replay->checkImage(clean, &why)) {
@@ -272,9 +303,12 @@ runFaultCampaign(const CampaignOptions &opts)
     sweepOpts.workers = opts.workers;
     SweepEngine engine(sweepOpts);
 
-    // ---- Phase 1: reference (SP on) + golden (SP off) runs per workload.
+    // ---- Phase 1: capture each structure's post-setup state once, then
+    // the reference (SP on) + golden (SP off) runs per workload from it.
     std::vector<Prep> preps(opts.kinds.size());
     std::vector<RunConfig> prepCfgs;
+    std::vector<SharedSetup *> prepSetups;
+    std::vector<std::pair<SharedSetup *, const RunConfig *>> captures;
     for (size_t i = 0; i < opts.kinds.size(); ++i) {
         Prep &prep = preps[i];
         prep.base.kind = opts.kinds[i];
@@ -284,21 +318,39 @@ runFaultCampaign(const CampaignOptions &opts)
         prep.base.params.mode = PersistMode::kLogPSf;
         prep.base.sim.sp.enabled = true;
 
+        captures.emplace_back(&prep.setup, &prep.base);
         prepCfgs.push_back(prep.base); // reference
+        prepSetups.push_back(&prep.setup);
         RunConfig golden = prep.base;
         golden.sim.sp.enabled = false;
         prepCfgs.push_back(golden);
+        prepSetups.push_back(&prep.setup);
         if (opts.mediaFaults) {
             // Media cells run with checksums armed; their crash grid is
             // spaced by this variant's own cycle count (the CRC
             // maintenance stores stretch every transaction).
             prep.csBase = prep.base;
             prep.csBase.params.checksums = true;
+            captures.emplace_back(&prep.csSetup, &prep.csBase);
             prepCfgs.push_back(prep.csBase);
+            prepSetups.push_back(&prep.csSetup);
         }
     }
     const size_t stride = opts.mediaFaults ? 3 : 2;
-    std::vector<SweepRunResult> prepRuns = engine.run(prepCfgs);
+    std::vector<SweepRunResult> captured =
+        engine.runTasks(captures.size(), [&](size_t c) {
+            auto [shared, cfg] = captures[c];
+            shared->state =
+                std::make_unique<WorkloadSetup>(cfg->kind, cfg->params);
+            return RunResult{};
+        });
+    for (const SweepRunResult &c : captured)
+        SP_ASSERT(c.ok, "campaign workload setup threw: ", c.error);
+    std::vector<SweepRunResult> prepRuns =
+        engine.runTasks(prepCfgs.size(), [&](size_t i) {
+            return runExperiment(prepCfgs[i], 0, nullptr,
+                                 prepSetups[i]->state.get());
+        });
     for (size_t i = 0; i < preps.size(); ++i) {
         const SweepRunResult &ref = prepRuns[stride * i];
         const SweepRunResult &golden = prepRuns[stride * i + 1];
@@ -394,6 +446,17 @@ runFaultCampaign(const CampaignOptions &opts)
         }
     }
 
+    // Every cell holds its structure's setup state until it finishes; a
+    // state no cell uses is released now.
+    for (const Cell &cell : grid)
+        ++preps[cell.prepIndex].setupFor(cell.kind).users;
+    for (Prep &prep : preps) {
+        for (SharedSetup *shared : {&prep.setup, &prep.csSetup}) {
+            if (shared->users == 0)
+                shared->state.reset();
+        }
+    }
+
     // ---- Phase 3: execute every cell on the pool. Each task writes its
     // own pre-sized slot, so no locking on the campaign result path.
     CampaignReport report;
@@ -401,6 +464,9 @@ runFaultCampaign(const CampaignOptions &opts)
     std::vector<SweepRunResult> slots =
         engine.runTasks(grid.size(), [&](size_t i) {
             const Cell &cell = grid[i];
+            Prep &prep = preps[cell.prepIndex];
+            SharedSetup &shared = prep.setupFor(cell.kind);
+            const WorkloadSetup &setup = *shared.state;
             CampaignCellResult &out = report.cells[i];
             out.index = i;
             out.kind = cell.kind;
@@ -409,16 +475,18 @@ runFaultCampaign(const CampaignOptions &opts)
             if (cell.kind == CampaignCellKind::kCrash) {
                 out.crashAt = cell.crashAt;
                 out.config += " crashAt=" + std::to_string(cell.crashAt);
-                runCrashCell(cell, preps[cell.prepIndex],
-                             opts.doubleCrashDraws, out);
+                runCrashCell(cell, prep, setup, opts.doubleCrashDraws, out);
             } else if (cell.kind == CampaignCellKind::kMedia) {
                 out.crashAt = cell.crashAt;
                 out.config += " crashAt=" + std::to_string(cell.crashAt) +
                     " mediaSeed=" + std::to_string(cell.mediaSeed);
-                runMediaCell(cell, preps[cell.prepIndex], opts, out);
+                runMediaCell(cell, prep, setup, opts, out);
             } else {
-                runConflictCell(cell, preps[cell.prepIndex], out);
+                runConflictCell(cell, prep, setup, out);
             }
+            // Released only on a normal return: a cell that throws keeps
+            // the state alive (for a retry) until the campaign ends.
+            shared.release();
             return RunResult{};
         });
 

@@ -4,9 +4,10 @@
  * mechanical pass/fail verdicts.
  *
  * A campaign turns the fault injectors (sim/fault.hh) into a repeatable
- * experiment: for every workload it derives a reference run and a
- * non-speculative golden run, then executes a grid of fault cells on the
- * SweepEngine --
+ * experiment: for every workload it captures the post-setup workload
+ * state once (WorkloadSetup, plus a checksummed variant for media
+ * cells), derives a reference run and a non-speculative golden run from
+ * it, then executes a grid of fault cells on the SweepEngine --
  *
  *  - crash cells: stop the machine at log-spaced cycles (optionally with
  *    write-latency jitter and torn cache-line writes), run undo-log
@@ -18,6 +19,12 @@
  *    (policy x period grid) with the forward-progress watchdog armed,
  *    and require completion plus a final durable image bit-identical
  *    (MemImage::hash) to the golden non-speculative run's.
+ *
+ * Every run and every functional replay of a workload restores that
+ * one captured state instead of re-running setup(), which is
+ * bit-identical and leaves the campaign's cost in simulation and
+ * recovery; each state is released once the last cell of its workload
+ * finishes.
  *
  * Determinism is part of the contract: CampaignReport::signature() is a
  * pure function of cell outcomes (wall time excluded), and identical

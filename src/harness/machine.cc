@@ -12,10 +12,16 @@
 namespace sp
 {
 
-Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup)
+Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
+                 const WorkloadSetup *setup)
     : cfg_(cfg)
 {
     validateRunConfig(cfg_);
+    SP_ASSERT(!setup || !deferSetup,
+              "a deferred-setup machine cannot take a setup state");
+    SP_ASSERT(!setup || setup->matches(cfg_.kind, cfg_.params),
+              "setup state was captured for a different workload or "
+              "parameters");
 
     // Per-run tracer, created only when the config asks for one and the
     // caller did not supply its own. Summary-only: sweeps aggregate the
@@ -28,9 +34,11 @@ Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup)
     }
     tracer_ = tracer;
 
-    workload_ = makeWorkload(cfg_.kind, cfg_.params);
+    workload_ = setup ? setup->instantiate()
+                      : makeWorkload(cfg_.kind, cfg_.params);
     if (!deferSetup) {
-        workload_->setup();
+        if (!setup)
+            workload_->setup();
         // The populated structure is assumed durable at the start of the
         // measured phase: snapshot the functional image into the NVMM.
         durable_ = workload_->image();

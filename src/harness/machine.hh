@@ -55,9 +55,15 @@ class Machine
      *        the initial durable-image copy; the machine is not runnable
      *        until restoreSnapshot(). This is what makes slice replay
      *        cheap: a worker pays construction, not InitOps.
+     * @param setup Captured post-setup state of exactly cfg's (kind,
+     *        params), restored instead of running setup(); the durable
+     *        image is then copied as usual, so the run is bit-identical.
+     *        Mismatched (kind, params) or combining it with deferSetup
+     *        is an assertion failure.
      */
     explicit Machine(const RunConfig &cfg, Tracer *tracer = nullptr,
-                     bool deferSetup = false);
+                     bool deferSetup = false,
+                     const WorkloadSetup *setup = nullptr);
     ~Machine();
 
     Machine(const Machine &) = delete;

@@ -144,12 +144,13 @@ describeRunConfig(const RunConfig &cfg)
 }
 
 RunResult
-runExperiment(const RunConfig &cfg, Tick crashAtCycle, Tracer *tracer)
+runExperiment(const RunConfig &cfg, Tick crashAtCycle, Tracer *tracer,
+              const WorkloadSetup *setup)
 {
     // The assembly, run, and teardown all live in Machine now (so
     // snapshot/slice callers share them); this wrapper is the
     // bit-identical classic entry point.
-    Machine machine(cfg, tracer);
+    Machine machine(cfg, tracer, /*deferSetup=*/false, setup);
     machine.runUntil(crashAtCycle != 0 ? crashAtCycle : kTickNever);
     return machine.finish(crashAtCycle);
 }

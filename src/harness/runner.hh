@@ -169,9 +169,12 @@ std::string describeRunConfig(const RunConfig &cfg);
  *        When null and cfg.trace.categories != 0 the runner creates a
  *        summary-only tracer internally; either way RunResult::trace is
  *        filled from the tracer's summary.
+ * @param setup Optional post-setup state of cfg's (kind, params),
+ *        restored instead of running setup() (see Machine).
  */
 RunResult runExperiment(const RunConfig &cfg, Tick crashAtCycle = 0,
-                        Tracer *tracer = nullptr);
+                        Tracer *tracer = nullptr,
+                        const WorkloadSetup *setup = nullptr);
 
 /**
  * Apply SP_OPS / SP_INIT / SP_SEED environment overrides (used by benches

@@ -291,4 +291,27 @@ diffLines(const MemImage &a, const MemImage &b)
     return lines;
 }
 
+bool
+sameContents(const MemImage &a, const MemImage &b)
+{
+    static const MemImage::Page kZero{};
+    auto isZero = [](const MemImage::Page &page) {
+        return std::memcmp(page.data(), kZero.data(), kZero.size()) == 0;
+    };
+    for (const auto &[num, page] : a.pages_) {
+        auto it = b.pages_.find(num);
+        bool same = it == b.pages_.end()
+            ? isZero(*page)
+            : std::memcmp(page->data(), it->second->data(),
+                          MemImage::kPageBytes) == 0;
+        if (!same)
+            return false;
+    }
+    for (const auto &[num, page] : b.pages_) {
+        if (!a.pages_.count(num) && !isZero(*page))
+            return false;
+    }
+    return true;
+}
+
 } // namespace sp

@@ -178,6 +178,8 @@ class MemImage
     void restoreState(SnapshotReader &r);
 
   private:
+    friend bool sameContents(const MemImage &a, const MemImage &b);
+
     using Page = std::array<uint8_t, kPageBytes>;
 
     /** Pages are heap-allocated so the map stays cheap to rehash. */
@@ -229,6 +231,15 @@ class MemImage
  * clean-recovery image).
  */
 std::vector<Addr> diffLines(const MemImage &a, const MemImage &b);
+
+/**
+ * True when `a` and `b` read the same at every address: the exact
+ * equality hash() approximates, with the same conventions (an absent
+ * page equals an all-zero one, poison is ignored) and no collisions.
+ * One memcmp per resident page, so it is also cheaper than hashing
+ * both images.
+ */
+bool sameContents(const MemImage &a, const MemImage &b);
 
 } // namespace sp
 

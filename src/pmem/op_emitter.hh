@@ -94,6 +94,8 @@ struct BarrierMutation
     unsigned delayBarriers = 2;
 
     bool active() const { return kind != Kind::kNone; }
+
+    bool operator==(const BarrierMutation &) const = default;
 };
 
 /** Short human-readable rendering ("drop:clwb@17"), "" when inactive. */

@@ -60,10 +60,15 @@ replayUndoLog(MemImage &image, unsigned applyAtMost, bool clearBit)
     for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
         if (result.entriesApplied >= applyAtMost)
             return result;
-        buf.resize(it->len);
-        image.read(it->data, buf.data(), static_cast<unsigned>(it->len));
-        image.write(it->target, buf.data(),
-                    static_cast<unsigned>(it->len));
+        // A zero-length entry restores nothing but still counts as
+        // applied, so interrupted schedules keep the same entry indices.
+        if (it->len != 0) {
+            buf.resize(it->len);
+            image.read(it->data, buf.data(),
+                       static_cast<unsigned>(it->len));
+            image.write(it->target, buf.data(),
+                        static_cast<unsigned>(it->len));
+        }
         ++result.entriesApplied;
     }
 

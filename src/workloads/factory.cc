@@ -1,6 +1,7 @@
 #include "workloads/factory.hh"
 
 #include "sim/logging.hh"
+#include "sim/snapshot.hh"
 #include "workloads/avl_tree.hh"
 #include "workloads/avl_tree_incremental.hh"
 #include "workloads/btree.hh"
@@ -156,6 +157,26 @@ makeWorkload(WorkloadKind kind, const WorkloadParams &params)
         return std::make_unique<AvlTreeIncrementalWorkload>(params);
     }
     SP_PANIC("unknown workload kind");
+}
+
+WorkloadSetup::WorkloadSetup(WorkloadKind kind, const WorkloadParams &params)
+    : kind_(kind), params_(params)
+{
+    std::unique_ptr<Workload> w = makeWorkload(kind_, params_);
+    w->setup();
+    SnapshotWriter sw;
+    w->saveState(sw);
+    state_ = sw.take();
+}
+
+std::unique_ptr<Workload>
+WorkloadSetup::instantiate() const
+{
+    std::unique_ptr<Workload> w = makeWorkload(kind_, params_);
+    SnapshotReader r(state_);
+    w->restoreState(r);
+    SP_ASSERT(r.exhausted(), "workload setup state has trailing bytes");
+    return w;
 }
 
 } // namespace sp

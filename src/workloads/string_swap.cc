@@ -1,7 +1,7 @@
 #include "workloads/string_swap.hh"
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -127,23 +127,21 @@ StringSwapWorkload::checkImage(const MemImage &img, std::string *why) const
 
     // Swaps permute strings, so the multiset of string hashes must equal
     // the multiset of the deterministic initial strings.
-    std::map<uint64_t, int> expected;
+    std::vector<uint64_t> expected(n), actual(n);
     for (uint64_t i = 0; i < n; ++i) {
         uint64_t h = 0xcbf29ce484222325ULL;
         for (unsigned w = 0; w < kStringBytes / 8; ++w) {
             h ^= initialWord(i, w);
             h *= 0x100000001b3ULL;
         }
-        ++expected[h];
+        expected[i] = h;
+        actual[i] = hashString(img, stringAddr(array, i));
     }
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t h = hashString(img, stringAddr(array, i));
-        auto it = expected.find(h);
-        if (it == expected.end() || it->second == 0)
-            return fail("string contents are not a permutation of the "
-                        "initial strings");
-        --it->second;
-    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    if (expected != actual)
+        return fail("string contents are not a permutation of the "
+                    "initial strings");
     return true;
 }
 

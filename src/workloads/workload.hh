@@ -82,6 +82,8 @@ struct WorkloadParams
      * by default. Never changes functional state -- see BarrierMutation.
      */
     BarrierMutation mutation;
+
+    bool operator==(const WorkloadParams &) const = default;
 };
 
 /** Base class of all benchmarks. */

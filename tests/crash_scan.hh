@@ -12,17 +12,24 @@
  * schedules are seeded from these scans for the same reason: the window
  * in which a dropped clwb is observable is exactly such a narrow,
  * cadence-locked stretch.
+ *
+ * Every scan crashes the same configuration many times, so the helpers
+ * take the configuration's captured post-setup state (WorkloadSetup):
+ * each crash run and each functional replay restores it instead of
+ * re-running the #InitOps fast-forward.
  */
 
 #ifndef SP_TESTS_CRASH_SCAN_HH
 #define SP_TESTS_CRASH_SCAN_HH
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hh"
 #include "pmem/recovery.hh"
+#include "workloads/factory.hh"
 
 namespace sp
 {
@@ -56,7 +63,8 @@ fineStepCrashSchedule(Tick totalCycles, unsigned maxPoints = 200,
  * (possibly fewer than `want` -- callers assert on what they need).
  */
 inline std::vector<Tick>
-findArmedCrashPoints(const RunConfig &cfg, Tick totalCycles, unsigned want,
+findArmedCrashPoints(const RunConfig &cfg, const WorkloadSetup &setup,
+                     Tick totalCycles, unsigned want,
                      unsigned maxProbes = 200)
 {
     std::vector<Tick> armed;
@@ -66,7 +74,7 @@ findArmedCrashPoints(const RunConfig &cfg, Tick totalCycles, unsigned want,
          at < totalCycles && armed.size() < want && probes < maxProbes;
          at += step) {
         ++probes;
-        RunResult crashed = runExperiment(cfg, at);
+        RunResult crashed = runExperiment(cfg, at, nullptr, &setup);
         if (crashed.completed)
             break;
         MemImage img = crashed.durable;
@@ -84,10 +92,10 @@ findArmedCrashPoints(const RunConfig &cfg, Tick totalCycles, unsigned want,
  * the recovered generation exceeds anything the replay can reach).
  */
 inline bool
-crashRecoveryDiverges(const RunConfig &cfg, Tick at, uint64_t maxGen,
-                      std::string *why = nullptr)
+crashRecoveryDiverges(const RunConfig &cfg, const WorkloadSetup &setup,
+                      Tick at, uint64_t maxGen, std::string *why = nullptr)
 {
-    RunResult crashed = runExperiment(cfg, at);
+    RunResult crashed = runExperiment(cfg, at, nullptr, &setup);
     if (crashed.completed) {
         if (why)
             *why = "crash point beyond the end of the run";
@@ -102,8 +110,7 @@ crashRecoveryDiverges(const RunConfig &cfg, Tick at, uint64_t maxGen,
         }
         return true;
     }
-    auto replay = makeWorkload(cfg.kind, cfg.params);
-    replay->setup();
+    std::unique_ptr<Workload> replay = setup.instantiate();
     replay->runFunctionalToGeneration(gen);
     std::string local;
     if (!replay->checkImage(crashed.durable, &local)) {

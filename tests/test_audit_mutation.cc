@@ -112,8 +112,9 @@ divergesInWindow(const FlaggedMutant &m, uint64_t maxGen,
     Tick end = f.resolvedOp ? f.resolvedTick + 4000 : m.full.stats.cycles;
     std::vector<Tick> points = fineStepCrashSchedule(
         m.full.stats.cycles, 250, 16, f.firstTick, end);
+    WorkloadSetup setup(m.cfg.kind, m.cfg.params);
     for (Tick at : points) {
-        if (crashRecoveryDiverges(m.cfg, at, maxGen, &why)) {
+        if (crashRecoveryDiverges(m.cfg, setup, at, maxGen, &why)) {
             foundAt = at;
             return true;
         }
@@ -203,10 +204,11 @@ TEST(AuditMutation, MatrixCheckerAndCrashCampaignAgree)
                 << "checker flagged a machine-benign mutation" << diag;
             EXPECT_EQ(r.durable.hash(), golden.durable.hash());
 
+            WorkloadSetup setup(cfg.kind, cfg.params);
             for (Tick at :
                  fineStepCrashSchedule(r.stats.cycles, 14, 64)) {
                 std::string bwhy;
-                EXPECT_FALSE(crashRecoveryDiverges(cfg, at,
+                EXPECT_FALSE(crashRecoveryDiverges(cfg, setup, at,
                                                    golden.functionalGeneration,
                                                    &bwhy))
                     << "auditor-clean mutant tore recovery (false "

@@ -99,13 +99,14 @@ TEST_P(CrashRecovery, InterruptedRecoveryConverges)
     cfg.params.mode = PersistMode::kLogPSf;
     cfg.sim.sp.enabled = sp;
 
-    RunResult full = runExperiment(cfg);
+    WorkloadSetup setup(cfg.kind, cfg.params);
+    RunResult full = runExperiment(cfg, 0, nullptr, &setup);
     // The fine-step armed-window scan (see crash_scan.hh for why a fixed
     // grid would alias past every armed window).
     std::vector<Tick> armedPoints =
-        findArmedCrashPoints(cfg, full.stats.cycles, 3, 200);
+        findArmedCrashPoints(cfg, setup, full.stats.cycles, 3, 200);
     for (Tick at : armedPoints) {
-        RunResult crashed = runExperiment(cfg, at);
+        RunResult crashed = runExperiment(cfg, at, nullptr, &setup);
         ASSERT_FALSE(crashed.completed);
 
         MemImage direct = crashed.durable;

@@ -114,6 +114,37 @@ TEST(FaultCampaign, ReportIsBitIdenticalAcrossWorkerCounts)
     EXPECT_TRUE(serial.passed());
 }
 
+TEST(FaultCampaign, SignatureGoldenAcrossStructures)
+{
+    // Every structure with crash, conflict and media cells and torn
+    // writes on, pinned to the signature of the setup-per-run campaign:
+    // cells that restore one captured post-setup state, and the
+    // interrupted-recovery check that compares images instead of
+    // hashing them, must reproduce every outcome field bit for bit.
+    CampaignOptions opts;
+    opts.crashPoints = 3;
+    opts.conflictPeriods = {600};
+    opts.policies = {ConflictPolicy::kTrailWriter};
+    opts.mediaFaults = true;
+    opts.mediaDraws = 1;
+    opts.tornWrites = true;
+    opts.initOps = 120;
+    opts.simOps = 12;
+    opts.seed = 2;
+    ASSERT_EQ(opts.kinds.size(), 8u);
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        opts.workers = workers;
+        CampaignReport report = runFaultCampaign(opts);
+        ASSERT_EQ(report.cells.size(), 8u * (3 + 1 + 3));
+        EXPECT_GT(report.crashCells, 0u);
+        EXPECT_GT(report.conflictCells, 0u);
+        EXPECT_GT(report.mediaChecked, 0u);
+        EXPECT_EQ(report.signature(), 0x614f71b3400110e8ull);
+        EXPECT_TRUE(report.passed()) << report.toJson();
+    }
+}
+
 TEST(FaultCampaign, CsvAndJsonArtifactsAreWellFormed)
 {
     CampaignOptions opts;

@@ -145,3 +145,56 @@ TEST(MemImage, HashMatchesGoldenConstant)
     img.writeInt(0x7fff, 0xabULL, 1); // page-crossing neighborhood
     EXPECT_EQ(img.hash(), UINT64_C(0xce823710007404c2));
 }
+
+// sameContents() is the exact counterpart of comparing hash()es: same
+// zero-page and poison conventions, but no collisions.
+TEST(MemImage, SameContentsTreatsAbsentPagesAsZero)
+{
+    MemImage a, b;
+    a.writeInt(0x1000, 7, 8);
+    b.writeInt(0x1000, 7, 8);
+    EXPECT_TRUE(sameContents(a, b));
+
+    // A page resident in only one image, written with zeros.
+    b.writeInt(0x40000, 0, 8);
+    EXPECT_EQ(a.pageCount() + 1, b.pageCount());
+    EXPECT_TRUE(sameContents(a, b));
+    EXPECT_TRUE(sameContents(b, a));
+
+    // An empty image equals one holding only zeroed pages.
+    MemImage zeros;
+    zeros.writeInt(0x3000, 0, 8);
+    EXPECT_TRUE(sameContents(MemImage(), zeros));
+    EXPECT_TRUE(sameContents(zeros, MemImage()));
+}
+
+TEST(MemImage, SameContentsSeesOneByteEitherWay)
+{
+    MemImage a;
+    for (int i = 0; i < 16; ++i)
+        a.writeInt(0x10000 + i * MemImage::kPageBytes, i + 1, 8);
+    MemImage b = a;
+    ASSERT_TRUE(sameContents(a, b));
+
+    // One byte differs inside a page both images hold.
+    b.writeInt(0x10000 + 5 * MemImage::kPageBytes + 4095, 1, 1);
+    EXPECT_FALSE(sameContents(a, b));
+    EXPECT_FALSE(sameContents(b, a));
+
+    // One non-zero byte on a page only one image holds.
+    MemImage c = a;
+    c.writeInt(0x900000, 0x80, 1);
+    EXPECT_FALSE(sameContents(a, c));
+    EXPECT_FALSE(sameContents(c, a));
+}
+
+TEST(MemImage, SameContentsIgnoresPoisonLikeHash)
+{
+    MemImage a;
+    a.writeInt(0x2000, 0xdeadbeef, 8);
+    MemImage b = a;
+    b.markPoison(0x2000);
+    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_TRUE(sameContents(a, b));
+    EXPECT_TRUE(sameContents(b, a));
+}

@@ -673,3 +673,91 @@ TEST(SetupGolden, MutedPathsReproducePinnedImages)
     if (HasFailure())
         ADD_FAILURE() << "measured table:\n" << table;
 }
+
+// ==========================================================================
+// Captured setup state (workloads/factory.hh WorkloadSetup)
+// ==========================================================================
+
+namespace
+{
+
+/** The five persistence variants the setup-equivalence grid covers. */
+std::vector<std::pair<std::string, RunConfig>>
+setupVariants(WorkloadKind kind)
+{
+    std::vector<std::pair<std::string, RunConfig>> out;
+    RunConfig cfg = smallConfig(kind, false);
+    cfg.params.mode = PersistMode::kNone;
+    out.emplace_back("Base", cfg);
+    cfg.params.mode = PersistMode::kLog;
+    out.emplace_back("Log", cfg);
+    cfg.params.mode = PersistMode::kLogPSf;
+    out.emplace_back("Log+P+Sf", cfg);
+    cfg.sim.sp.enabled = true;
+    out.emplace_back("SP", cfg);
+    cfg.params.checksums = true;
+    out.emplace_back("SP+crc", cfg);
+    return out;
+}
+
+std::vector<uint8_t>
+workloadStateBytes(const Workload &w)
+{
+    SnapshotWriter sw;
+    w.saveState(sw);
+    return sw.take();
+}
+
+} // namespace
+
+TEST(WorkloadSetupState, RunsMatchFreshSetupEverywhere)
+{
+    // A run started from a captured post-setup state must be the run
+    // that setup() would have produced: same Stats, durable image and
+    // functional generation, completed or crashed mid-run.
+    for (WorkloadKind kind : snapshotKinds()) {
+        for (const auto &[variant, cfg] : setupVariants(kind)) {
+            SCOPED_TRACE(std::string(workloadKindName(kind)) + " " +
+                         variant);
+            WorkloadSetup setup(cfg.kind, cfg.params);
+
+            RunResult fresh = runExperiment(cfg);
+            RunResult restored = runExperiment(cfg, 0, nullptr, &setup);
+            ASSERT_TRUE(fresh.completed);
+            EXPECT_EQ(fingerprint(restored), fingerprint(fresh));
+
+            Tick crashAt = fresh.stats.cycles / 2;
+            RunResult freshCrash = runExperiment(cfg, crashAt);
+            RunResult restoredCrash =
+                runExperiment(cfg, crashAt, nullptr, &setup);
+            ASSERT_EQ(freshCrash.outcome, RunOutcome::kCrashed);
+            EXPECT_EQ(fingerprint(restoredCrash), fingerprint(freshCrash));
+
+            // The instance a replay starts from is the setup() instance.
+            std::unique_ptr<Workload> ref = makeWorkload(cfg.kind, cfg.params);
+            ref->setup();
+            EXPECT_EQ(workloadStateBytes(*setup.instantiate()),
+                      workloadStateBytes(*ref));
+        }
+    }
+}
+
+TEST(WorkloadSetupStateDeathTest, MismatchedSetupPanics)
+{
+    RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, true);
+    WorkloadSetup setup(cfg.kind, cfg.params);
+
+    RunConfig otherKind = smallConfig(WorkloadKind::kHashMap, true);
+    EXPECT_DEATH(Machine(otherKind, nullptr, false, &setup),
+                 "different workload or parameters");
+    RunConfig otherParams = cfg;
+    otherParams.params.seed += 1;
+    EXPECT_DEATH(Machine(otherParams, nullptr, false, &setup),
+                 "different workload or parameters");
+    RunConfig otherMode = cfg;
+    otherMode.params.checksums = true;
+    EXPECT_DEATH(runExperiment(otherMode, 0, nullptr, &setup),
+                 "different workload or parameters");
+    EXPECT_DEATH(Machine(cfg, nullptr, /*deferSetup=*/true, &setup),
+                 "deferred-setup machine");
+}

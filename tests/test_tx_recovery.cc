@@ -208,6 +208,51 @@ TEST(Recovery, MultiBlockRange)
                   static_cast<uint64_t>(i));
 }
 
+TEST(Recovery, ZeroLengthEntryCountsButWritesNothing)
+{
+    // Hand-built log: [8-byte entry, 0-byte entry, 8-byte entry]. The
+    // empty entry restores nothing but still counts as applied, so an
+    // interrupted pass stops at the same entry index either way.
+    MemImage img;
+    img.writeInt(0x20000, 111, 8); // current (post-update) values
+    img.writeInt(0x20040, 222, 8);
+    img.writeInt(kLogBase, 1, 8);  // logged_bit
+    img.writeInt(kLogBase + 8, 3, 8);
+    Addr cursor = kLogBase + kBlockBytes;
+    auto entry = [&](Addr target, uint64_t len, uint64_t value) {
+        img.writeInt(cursor, target, 8);
+        img.writeInt(cursor + 8, len, 8);
+        if (len)
+            img.writeInt(cursor + 16, value, 8);
+        cursor += 16 + (len + 7) / 8 * 8;
+    };
+    entry(0x20000, 8, 5);
+    entry(0x30000, 0, 0);
+    entry(0x20040, 8, 6);
+    MemImage before = img;
+
+    // Reverse order: the 0x20040 entry, then the empty one.
+    MemImage partial = img;
+    RecoveryResult two = recoverImageInterrupted(partial, 2);
+    EXPECT_EQ(two.entriesApplied, 2u);
+    EXPECT_EQ(partial.readInt(0x20040, 8), 6u);
+    EXPECT_EQ(partial.readInt(0x20000, 8), 111u);
+    EXPECT_EQ(partial.readInt(0x30000, 8), 0u);
+
+    RecoveryResult res = recoverImage(img);
+    EXPECT_TRUE(res.undone);
+    EXPECT_EQ(res.entriesApplied, 3u);
+    EXPECT_EQ(img.readInt(0x20000, 8), 5u);
+    EXPECT_EQ(img.readInt(0x20040, 8), 6u);
+    EXPECT_EQ(img.readInt(kLogBase, 8), 0u);
+    // Nothing besides the two targets and the log bit changed.
+    MemImage expect = before;
+    expect.writeInt(0x20000, 5, 8);
+    expect.writeInt(0x20040, 6, 8);
+    expect.writeInt(kLogBase, 0, 8);
+    EXPECT_TRUE(sameContents(img, expect));
+}
+
 TEST(Recovery, FreshTxAfterRecoveryWorks)
 {
     MemImage img;

@@ -218,6 +218,36 @@ TEST(WorkloadSS, CheckerCatchesTornString)
     EXPECT_FALSE(ss.checkImage(img, nullptr));
 }
 
+TEST(WorkloadSS, CheckerRejectsDuplicateAndForeignStrings)
+{
+    // The checker compares the multiset of string hashes, so a string
+    // that appears twice (its slot-mate lost) and a string that was
+    // never one of the initial ones must each be rejected.
+    WorkloadParams p = smallParams(10, 0, 37);
+    StringSwapWorkload ss(p, 64);
+    ss.setup();
+    ss.runFunctional(20);
+    const unsigned bytes = StringSwapWorkload::kStringBytes;
+    Addr array = ss.image().readInt(kWorkloadMetaBase + 0, 8);
+    std::string why;
+    ASSERT_TRUE(ss.checkImage(ss.image(), &why)) << why;
+
+    MemImage dup = ss.image();
+    for (unsigned off = 0; off < bytes; off += 8)
+        dup.writeInt(array + bytes + off, dup.readInt(array + off, 8), 8);
+    EXPECT_FALSE(ss.checkImage(dup, &why));
+    EXPECT_EQ(why, "SS: string contents are not a permutation of the "
+                   "initial strings");
+
+    MemImage foreign = ss.image();
+    for (unsigned off = 0; off < bytes; off += 8)
+        foreign.writeInt(array + 3 * bytes + off, 0x5a5a5a5a00 + off, 8);
+    why.clear();
+    EXPECT_FALSE(ss.checkImage(foreign, &why));
+    EXPECT_EQ(why, "SS: string contents are not a permutation of the "
+                   "initial strings");
+}
+
 // --- Trees (shared shape) -------------------------------------------------------
 
 namespace
