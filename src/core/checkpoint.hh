@@ -64,6 +64,8 @@ class CheckpointBuffer
     struct Entry
     {
         bool valid = false;
+        /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+        uint8_t reserved[7] = {};
         uint64_t cursor = 0;
     };
 

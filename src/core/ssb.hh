@@ -57,6 +57,8 @@ struct SsbEntry
 {
     SsbEntryType type = SsbEntryType::kStore;
     uint8_t size = 0;
+    /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+    uint8_t reserved[6] = {};
     uint64_t epoch = 0;
     Addr addr = 0;
     uint64_t value = 0;

@@ -245,28 +245,31 @@ OooCore::fetchStage()
             flags_.fetchBlocked = true;
             break;
         }
-        DynOp dyn;
+        // Build the op in its queue slot. Copying in a stack temporary
+        // stalls store forwarding: its fields are written with 1-, 2-
+        // and 8-byte stores and read back with 16-byte loads.
+        DynOp &dyn = fetchQ_.emplace_back();
         if (pendingAlu_ > 0) {
             dyn.op = MicroOp::alu(1);
             dyn.nextCursor = pendingAluCursor_;
             --pendingAlu_;
         } else {
-            MicroOp op;
-            if (!program_.next(op)) {
+            if (!program_.next(dyn.op)) {
+                fetchQ_.pop_back();
                 programEnded_ = true;
                 break;
             }
-            uint64_t next_cursor = program_.cursor();
-            if (op.type == OpType::kAlu && op.repeat > 1) {
-                pendingAlu_ = op.repeat - 1;
-                pendingAluCursor_ = next_cursor;
-                op.repeat = 1;
+            dyn.nextCursor = program_.cursor();
+            if (dyn.op.type == OpType::kAlu && dyn.op.repeat > 1) {
+                pendingAlu_ = dyn.op.repeat - 1;
+                pendingAluCursor_ = dyn.nextCursor;
+                dyn.op.repeat = 1;
             }
-            dyn.op = op;
-            dyn.nextCursor = next_cursor;
         }
         dyn.seq = nextSeq_++;
-        fetchQ_.push_back(dyn);
+        dyn.waitNext = 0;
+        dyn.issued = false;
+        dyn.readyAt = 0;
         --budget;
         flags_.progress = true;
     }
@@ -285,21 +288,27 @@ OooCore::dispatchStage()
             break;
         if (unissuedCount_ >= cfg_.core.issueQueueSize)
             break;
-        const DynOp &front = fetchQ_.front();
-        bool mem = isMemOp(front.op.type);
+        bool mem = isMemOp(fetchQ_.front().op.type);
         if (mem && lsqCount_ >= cfg_.core.lsqSize)
             break;
-        // Reset the dependence ring slot for this source op.
-        doneAt_[(front.nextCursor - 1) % kRingSize] = kTickNever;
-        rob_.push_back(front);
-        enqueueForIssue(rob_.back());
-        ++unissuedCount_;
+        dispatchFront();
         if (mem)
             ++lsqCount_;
-        fetchQ_.pop_front();
         --budget;
-        flags_.progress = true;
     }
+}
+
+void
+OooCore::dispatchFront()
+{
+    const DynOp &front = fetchQ_.front();
+    // Reset the dependence ring slot for this source op.
+    doneAt_[(front.nextCursor - 1) % kRingSize] = kTickNever;
+    rob_.push_back(front);
+    enqueueForIssue(rob_.back());
+    ++unissuedCount_;
+    fetchQ_.pop_front();
+    flags_.progress = true;
 }
 
 // --------------------------------------------------------------------------
@@ -1168,6 +1177,75 @@ OooCore::stepCycle()
     }
 }
 
+bool
+OooCore::chainPathOpen() const
+{
+    // The oracle clock stays the per-cycle reference the fast path is
+    // checked against. A zero-width stage never moves an op, so the
+    // fast path's one op per stage would be wrong there.
+    const CoreConfig &core = cfg_.core;
+    return cfg_.eventSkip && core.fetchWidth > 0 && core.dispatchWidth > 0 &&
+        core.issueWidth > 0 && core.retireWidth > 0 && !tracer_ &&
+        !accountant_ && !auditor_ && !injector_ && probePeriod_ == 0 &&
+        probes_.empty();
+}
+
+bool
+OooCore::chainCycleApplies() const
+{
+    if (specMode_ || postAbortDrain_ || sbInFlight_ ||
+        !storeBuffer_.empty())
+        return false;
+    if (unissuedCount_ != cfg_.core.issueQueueSize ||
+        fetchQ_.size() != cfg_.core.fetchQueueSize || rob_.size() < 2 ||
+        !readySeqs_.empty() || pendingWakes_.empty())
+        return false;
+    const DynOp &head = rob_.front();
+    if (head.op.type != OpType::kAluChain || !head.issued ||
+        head.readyAt > now_ || fetchQ_.front().op.type != OpType::kAluChain)
+        return false;
+    // The one due wake is the op behind the head; the heap's top is the
+    // earliest wake, so its children bound every other one.
+    const std::vector<Tick> &at = pendingWakes_.at;
+    return at[0] <= now_ && pendingWakes_.topSeq() == rob_[1].seq &&
+        (at.size() < 2 || at[1] > now_) && (at.size() < 3 || at[2] > now_);
+}
+
+void
+OooCore::stepChainCycle()
+{
+    // Each line below is what stepCycle() does in this state; the stages
+    // it leaves out provably do nothing here. No probe source is
+    // attached, so processProbes() is idle; the core does not speculate,
+    // so the epoch manager is not ticked and maybeExitSpeculation()
+    // returns at once; the store buffer is empty, so it does not drain.
+    flags_ = CycleFlags{};
+    mc_.advanceTo(now_);
+    compactPersistState();
+
+    // Retire the completed chain head (no LSQ entry, no observer). The
+    // new head has not issued, so retirement stops after one op.
+    const DynOp &head = rob_.front();
+    stats_.instructions += head.op.instructionCount();
+    releaseRetired(head.nextCursor);
+    rob_.pop_front();
+    flags_.progress = true;
+
+    // Issue the one due wake, the new head. stepCycle() routes it
+    // through readySeqs_, which is empty again once it issues.
+    pendingWakes_.pop();
+    executeOp(rob_.front());
+    --unissuedCount_;
+
+    // That issue freed the one issue-queue entry dispatch can fill; the
+    // fetch-queue head is a chain element, so it needs no LSQ entry.
+    dispatchFront();
+
+    fetchStage();
+    if (flags_.fetchBlocked)
+        ++stats_.fetchQueueStallCycles;
+}
+
 Tick
 OooCore::nextEventTick() const
 {
@@ -1240,13 +1318,22 @@ OooCore::skipIdleCycles()
 bool
 OooCore::runUntil(Tick cycleLimit)
 {
+    // Observers and probe sources are attached between calls, and
+    // scheduled probes only drain during one, so once the fast path is
+    // open at entry it stays open for the whole call.
+    const bool chain_path = chainPathOpen();
     uint64_t idle_streak = 0;
     while (!done()) {
         if (now_ >= cycleLimit) {
             stats_.cycles = now_;
             return false;
         }
-        stepCycle();
+        if (chain_path && chainCycleApplies()) {
+            stepChainCycle();
+            ++chainFastCycles_;
+        } else {
+            stepCycle();
+        }
         if (flags_.progress) {
             idle_streak = 0;
             ++now_;

@@ -79,7 +79,10 @@ class OooCore
     void run();
 
     /**
-     * Run until at most `cycleLimit` (absolute cycle count) or completion.
+     * Run until `cycleLimit` (absolute cycle count) or completion.
+     * Known defect: on the event-skip clock an idle skip that starts
+     * before the limit can carry the clock past it (see
+     * docs/PERFORMANCE.md, "Serial-chain steady state").
      *
      * @return true if the run completed before the limit.
      */
@@ -185,6 +188,13 @@ class OooCore
     size_t robOccupancy() const { return rob_.size(); }
 
     /**
+     * Cycles this core object ran through the serial-chain fast path
+     * (stepChainCycle()). Host telemetry: it is in no Stats, trace or
+     * snapshot, and a restored core counts from zero.
+     */
+    uint64_t chainFastCycles() const { return chainFastCycles_; }
+
+    /**
      * Capacity/high-water of every pooled structure the core owns or
      * drives (ROB, queues, SSB, epoch pools, program window, WPQ),
      * appended to `out`. Cheap: reads counters the pools keep anyway.
@@ -226,6 +236,8 @@ class OooCore
         /** Next seq in this op's dependence-wait chain (0 = end). */
         uint64_t waitNext = 0;
         bool issued = false;
+        /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+        uint8_t reserved[7] = {};
         /** Completion tick, valid once issued. */
         Tick readyAt = 0;
     };
@@ -236,6 +248,8 @@ class OooCore
         Addr addr;
         uint64_t value;
         uint8_t size;
+        /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+        uint8_t reserved[7] = {};
     };
 
     /** A pcommit flush the core has issued and not yet seen acked. */
@@ -413,12 +427,36 @@ class OooCore
     };
     CycleFlags flags_;
 
+    // --- Serial-chain steady state ------------------------------------------
+    uint64_t chainFastCycles_ = 0;
+
+    /** The fast path may run at all: the event-skip clock, every stage
+     *  at least one op wide, and no observer, probe source or conflict
+     *  injector attached. */
+    bool chainPathOpen() const;
+    /**
+     * O(1) test, given chainPathOpen(), that the coming cycle is the
+     * serial-chain steady state: non-speculative with an empty store
+     * buffer; the ROB head a completed chain element and exactly one
+     * wake due now, on the op behind it; the issue and fetch queues
+     * full, with a chain element at the fetch-queue head.
+     */
+    bool chainCycleApplies() const;
+    /**
+     * stepCycle() specialised to that state: retire, issue, dispatch and
+     * fetch one op each, skipping the stages that provably do nothing.
+     * Leaves every piece of state exactly as stepCycle() would.
+     */
+    void stepChainCycle();
+
     // --- Stages -----------------------------------------------------------
     void stepCycle();
     void processProbes();
     void retireStage();
     void issueStage();
     void dispatchStage();
+    /** Move the fetch-queue head into the ROB and the issue window. */
+    void dispatchFront();
     void fetchStage();
     void drainStoreBuffer();
     void maybeExitSpeculation();

@@ -156,7 +156,7 @@ Machine::save(SnapshotWriter &w) const
 
     w.putPod<uint8_t>(injector_ ? 1 : 0);
     if (injector_)
-        w.putPod(*injector_);
+        injector_->saveState(w);
 
     // Observer sections are optional: a snapshot taken without a tracer
     // (the slice producer) restores into a machine with a fresh one.
@@ -190,7 +190,7 @@ Machine::restore(SnapshotReader &r)
             "machine configuration");
     }
     if (injector_)
-        r.getPod(*injector_);
+        injector_->restoreState(r);
 
     bool hasTracer = r.getPod<uint8_t>() != 0;
     if (hasTracer && !tracer_) {
@@ -302,6 +302,7 @@ Machine::finish(Tick crashAtCycle)
     if (auditor_)
         result.audit = auditor_->finalize();
     core_->collectPoolStats(result.perf.pools);
+    result.perf.chainFastCycles = core_->chainFastCycles();
     result.perf.volatileTransHits = workload_->image().translationHits();
     result.perf.volatileTransMisses = workload_->image().translationMisses();
     // Translation counters are not moved with the image contents: read

@@ -59,6 +59,7 @@ PerfTelemetry::print(std::ostream &os, const std::string &prefix) const
     cacheLine("durable", durableTransHits, durableTransMisses);
     os << prefix << "WPQ peak occupancy: timed " << wpqPeakTimed
        << ", shutdown " << wpqPeakShutdown << "\n";
+    os << prefix << "serial-chain fast cycles: " << chainFastCycles << "\n";
     for (const PoolStat &p : pools) {
         os << prefix << std::left << std::setw(20) << p.name << std::right
            << " capacity " << std::setw(8) << p.capacity << "  high-water "

@@ -115,6 +115,13 @@ struct PerfTelemetry
      */
     uint64_t wpqPeakTimed = 0;
     uint64_t wpqPeakShutdown = 0;
+    /**
+     * Cycles the core ran through its serial-chain fast path
+     * (OooCore::chainFastCycles; counted by the machine that finished
+     * the run, so a restored run counts from the restore). Outside every
+     * fingerprint: it says how the host simulated, not what.
+     */
+    uint64_t chainFastCycles = 0;
 
     /** Human-readable table (spcli --cycle-account, bench reports). */
     void print(std::ostream &os, const std::string &prefix = "") const;

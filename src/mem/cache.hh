@@ -33,6 +33,8 @@ class Cache
         Addr tag = 0;
         bool valid = false;
         bool dirty = false;
+        /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+        uint8_t reserved[6] = {};
         uint64_t lastUse = 0;
         uint8_t data[kBlockBytes] = {};
     };

@@ -101,6 +101,8 @@ const char *auditFindingKindName(AuditFindingKind kind);
 struct AuditFinding
 {
     AuditFindingKind kind = AuditFindingKind::kUnorderedStore;
+    /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+    uint8_t reserved[7] = {};
     /** The line whose durability ordering was lost. */
     Addr line = 0;
     /** Dynamic index of the unordered store (rule A) or flush (rule B). */
@@ -215,6 +217,8 @@ class DurabilityAuditor
         uint64_t lastStoreEpoch = 0;
         /** Stored since the line's last flush. */
         bool dirty = false;
+        /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+        uint8_t reserved[3] = {};
         /** Open finding for this line, or -1. */
         int findingIdx = -1;
     };

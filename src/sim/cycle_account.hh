@@ -129,6 +129,8 @@ struct CycleAccount
 {
     /** False when accounting was off (all fields zero). */
     bool enabled = false;
+    /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+    uint8_t reserved[7] = {};
     /** Cycles attributed, by category; sums to `cycles`. */
     std::array<uint64_t, kNumCycleCats> categories{};
     /** Total cycles accounted; equals Stats::cycles per run. */
@@ -183,6 +185,8 @@ class CycleAccountant
 
     CycleAccount account_;
     bool inEpisode_ = false;
+    /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+    uint8_t reserved[7] = {};
     uint64_t episodeLen_ = 0;
     uint64_t episodeHidden_ = 0;
 };

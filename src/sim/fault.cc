@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "mem/mem_image.hh"
 #include "pmem/layout.hh"
@@ -327,6 +328,43 @@ SpecGovernor::noteFenceRetired(Tick now)
         if (tracer_ && tracer_->enabled(kTraceSpec))
             tracer_->instant(kTraceSpec, TraceName::kWatchdogRearm, now);
     }
+}
+
+void
+ConflictInjector::saveState(SnapshotWriter &w) const
+{
+    // The object holds padding and a double, so it cannot go through
+    // putPod whole; write it field by field in its own layout instead.
+    static_assert(offsetof(ConflictInjectConfig, period) == 8 &&
+                      sizeof(ConflictInjectConfig) == 56 &&
+                      offsetof(ConflictInjector, haveWriter_) == 96 &&
+                      offsetof(ConflictInjector, injected_) == 104 &&
+                      sizeof(ConflictInjector) == 112,
+                  "ConflictInjector layout changed: update its visitor");
+    w.putPod(cfg_.enabled);
+    w.putPod(cfg_.policy);
+    w.putPod(cfg_.timing);
+    w.putZeros(5);
+    w.putPod(cfg_.period);
+    w.putPod(cfg_.seed);
+    w.putPod(cfg_.hotFraction);
+    w.putPod(cfg_.hotBytes);
+    w.putPod(cfg_.footprintBase);
+    w.putPod(cfg_.footprintBytes);
+    w.putPod(base_);
+    w.putPod(range_);
+    w.putPod(state_);
+    w.putPod(nextAt_);
+    w.putPod(lastWriterBlock_);
+    w.putPod(haveWriter_);
+    w.putZeros(7);
+    w.putPod(injected_);
+}
+
+void
+ConflictInjector::restoreState(SnapshotReader &r)
+{
+    r.getPod(*this);
 }
 
 void

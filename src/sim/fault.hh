@@ -275,6 +275,13 @@ class ConflictInjector
     /** Probes delivered so far. */
     uint64_t injected() const { return injected_; }
 
+    /**
+     * Snapshot visitors. The section is the object's own byte layout,
+     * with its padding written as zeros.
+     */
+    void saveState(SnapshotWriter &w) const;
+    void restoreState(SnapshotReader &r);
+
   private:
     ConflictInjectConfig cfg_;
     Addr base_;

@@ -15,7 +15,8 @@
  *   - RingDeque<T>: power-of-two circular buffer with std::deque's FIFO
  *     surface (push_back / pop_front / front / operator[] / iteration).
  *     Popped slots stay constructed and are re-assigned on reuse, so
- *     element-owned capacity (e.g. a vector member) is recycled in place.
+ *     element-owned capacity (e.g. a vector member) is recycled in place;
+ *     emplace_back() hands out the next slot to be filled in place.
  *   - FixedPool<T>: fixed-slab object pool with generation-checked
  *     handles, O(1) whole-pool reset, and ASan reuse poisoning.
  *   - VecPool<T>: recycles std::vector buffers so repeated take/give
@@ -35,6 +36,7 @@
 #ifndef SP_SIM_POOL_HH
 #define SP_SIM_POOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -86,6 +88,10 @@ struct PoolStat
  * assignment, so element-owned heap capacity (vector members and the
  * like) is recycled instead of freed. Requires T to be default
  * constructible and move assignable.
+ *
+ * The high-water mark is taken lazily -- the size before each removal,
+ * and the current size -- so an element that pop_back() retracts right
+ * after emplace_back() never counts toward it.
  */
 template <typename T>
 class RingDeque
@@ -101,7 +107,7 @@ class RingDeque
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
     size_t capacity() const { return buf_.size(); }
-    size_t highWater() const { return highWater_; }
+    size_t highWater() const { return std::max(highWater_, size_); }
 
     T &front() { return buf_[head_]; }
     const T &front() const { return buf_[head_]; }
@@ -124,10 +130,27 @@ class RingDeque
         emplace_slot() = std::move(value);
     }
 
+    /**
+     * Append a slot and return it for the caller to fill in place,
+     * which spares the copy of a temporary. The slot still holds its
+     * previous occupant (or a default-constructed T): the caller must
+     * assign every field that matters.
+     */
+    T &emplace_back() { return emplace_slot(); }
+
+    /** Retract the element the last emplace_back() added. */
+    void
+    pop_back()
+    {
+        SP_ASSERT(size_ > 0, "pop_back on empty RingDeque");
+        --size_;
+    }
+
     void
     pop_front()
     {
         SP_ASSERT(size_ > 0, "pop_front on empty RingDeque");
+        noteHighWater();
         head_ = wrap(head_ + 1);
         --size_;
     }
@@ -137,6 +160,7 @@ class RingDeque
     popFront(size_t n)
     {
         SP_ASSERT(n <= size_, "popFront past RingDeque size");
+        noteHighWater();
         head_ = wrap(head_ + n);
         size_ -= n;
     }
@@ -144,6 +168,7 @@ class RingDeque
     void
     clear()
     {
+        noteHighWater();
         head_ = 0;
         size_ = 0;
     }
@@ -188,16 +213,24 @@ class RingDeque
     PoolStat
     stat(const char *name) const
     {
-        return {name, buf_.size(), highWater_};
+        return {name, buf_.size(), highWater()};
     }
 
   private:
     std::vector<T> buf_;
     size_t head_ = 0;
     size_t size_ = 0;
+    /** Largest size seen before a removal; highWater() adds size_. */
     size_t highWater_ = 0;
 
     size_t wrap(size_t i) const { return i & (buf_.size() - 1); }
+
+    void
+    noteHighWater()
+    {
+        if (size_ > highWater_)
+            highWater_ = size_;
+    }
 
     T &
     emplace_slot()
@@ -206,8 +239,6 @@ class RingDeque
             grow(size_ ? size_ * 2 : 16);
         T &slot = buf_[wrap(head_ + size_)];
         ++size_;
-        if (size_ > highWater_)
-            highWater_ = size_;
         return slot;
     }
 

@@ -66,6 +66,22 @@ class SnapshotError : public std::runtime_error
 class SnapshotWriter
 {
   public:
+    /**
+     * Raw writers copy every byte of a value, padding included. Padding
+     * holds whatever the last code to write the object left there, so
+     * a type with padding would make snapshot bytes depend on how the
+     * object was built. Name such bytes as zero fields instead. A
+     * floating-point value has no padding but may have several
+     * representations of one value; it is written as it is.
+     */
+    template <typename T>
+    static constexpr bool
+    determinedBytes()
+    {
+        return std::has_unique_object_representations_v<T> ||
+            std::is_floating_point_v<T>;
+    }
+
     void putBytes(const void *data, size_t n)
     {
         const uint8_t *p = static_cast<const uint8_t *>(data);
@@ -77,8 +93,13 @@ class SnapshotWriter
     {
         static_assert(std::is_trivially_copyable<T>::value,
                       "putPod requires a trivially copyable type");
+        static_assert(determinedBytes<T>(),
+                      "putPod requires a type without padding bytes");
         putBytes(&value, sizeof(T));
     }
+
+    /** `n` zero bytes (a visitor's stand-in for padding). */
+    void putZeros(size_t n) { buf_.insert(buf_.end(), n, 0); }
 
     void putString(const std::string &s)
     {
@@ -91,6 +112,8 @@ class SnapshotWriter
     {
         static_assert(std::is_trivially_copyable<T>::value,
                       "putPodVec requires trivially copyable elements");
+        static_assert(determinedBytes<T>(),
+                      "putPodVec requires elements without padding bytes");
         putPod<uint64_t>(v.size());
         if (!v.empty())
             putBytes(v.data(), v.size() * sizeof(T));
@@ -101,6 +124,8 @@ class SnapshotWriter
     {
         static_assert(std::is_trivially_copyable<T>::value,
                       "putRing requires trivially copyable elements");
+        static_assert(determinedBytes<T>(),
+                      "putRing requires elements without padding bytes");
         putPod<uint64_t>(r.size());
         for (size_t i = 0; i < r.size(); ++i)
             putPod(r[i]);

@@ -205,6 +205,8 @@ struct TraceSummary
 {
     /** True once any event was published (tracing was on). */
     bool enabled = false;
+    /** Always zero: named padding (see SnapshotWriter::determinedBytes). */
+    uint8_t reserved[7] = {};
     /** Events published (including any beyond the retention cap). */
     uint64_t events = 0;
     /** Events dropped from the retained vector by the cap. */

@@ -11,6 +11,11 @@
  * snapshot, so the skip logic is exercised under sampled counters,
  * absolute-time probe schedules, and partial runs.
  *
+ * The grid also covers the serial-chain fast path
+ * (OooCore::stepChainCycle), which runs only on the event-skip clock:
+ * observer-free, conflict-free, non-speculative runs, where it must
+ * engage on the skip clock and never on the oracle clock.
+ *
  * Also here: long-run steady-state bounds. A max_cycles-scale run must
  * not accumulate unbounded bookkeeping (persist acks, flush flights,
  * controller flush records); the pipeline structures must stay at their
@@ -66,6 +71,8 @@ struct Cell
     RunConfig cfg;
     Tick crashAtCycle = 0;
     std::string name;
+    /** The skip run must take the serial-chain fast path. */
+    bool chainPath = false;
 };
 
 /** Workloads x {tracing, conflicts}, small enough for the oracle loop. */
@@ -74,7 +81,8 @@ bitIdentityGrid()
 {
     std::vector<Cell> cells;
     auto add = [&](WorkloadKind kind, PersistMode mode, bool sp,
-                   bool tracing, bool conflicts, Tick crashAt = 0) {
+                   bool tracing, bool conflicts, Tick crashAt = 0,
+                   bool chainPath = false) {
         Cell cell;
         cell.cfg.kind = kind;
         cell.cfg.params.seed = 42;
@@ -90,6 +98,7 @@ bitIdentityGrid()
             cell.cfg.sim.fault.conflict.seed = 7;
         }
         cell.crashAtCycle = crashAt;
+        cell.chainPath = chainPath;
         cell.name = workloadKindName(kind) + std::string("/") +
             persistModeName(mode) + (sp ? "/sp" : "") +
             (tracing ? "/trace" : "") + (conflicts ? "/conflict" : "") +
@@ -108,7 +117,15 @@ bitIdentityGrid()
     add(WorkloadKind::kLinkedList, PersistMode::kLogPSf, false, true,
         false);
     add(WorkloadKind::kBTree, PersistMode::kLogP, false, false, false);
-    add(WorkloadKind::kHashMap, PersistMode::kNone, false, false, false);
+    // The runs the serial-chain fast path speeds up: observers off, no
+    // conflicts, no speculation (the fence_sim benchmark's Base and
+    // Log+P+Sf cells).
+    for (WorkloadKind kind :
+         {WorkloadKind::kGraph, WorkloadKind::kHashMap,
+          WorkloadKind::kLinkedList, WorkloadKind::kStringSwap}) {
+        for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf})
+            add(kind, mode, false, false, false, 0, true);
+    }
     // A crashed run's snapshot must also be skip-schedule independent.
     add(WorkloadKind::kStringSwap, PersistMode::kLogPSf, true, true, true,
         5000);
@@ -125,10 +142,15 @@ TEST(FastForward, BitIdentity)
         RunConfig skip = cell.cfg;
         skip.sim.eventSkip = true;
 
-        Fingerprint oracle =
-            fingerprint(runExperiment(tick, cell.crashAtCycle));
-        Fingerprint fast =
-            fingerprint(runExperiment(skip, cell.crashAtCycle));
+        RunResult oracleRun = runExperiment(tick, cell.crashAtCycle);
+        RunResult fastRun = runExperiment(skip, cell.crashAtCycle);
+        Fingerprint oracle = fingerprint(oracleRun);
+        Fingerprint fast = fingerprint(fastRun);
+
+        EXPECT_EQ(oracleRun.perf.chainFastCycles, 0u) << cell.name;
+        if (cell.chainPath) {
+            EXPECT_GT(fastRun.perf.chainFastCycles, 0u) << cell.name;
+        }
 
         EXPECT_EQ(oracle.stats, fast.stats) << cell.name;
         EXPECT_EQ(oracle.trace, fast.trace) << cell.name;
@@ -136,6 +158,72 @@ TEST(FastForward, BitIdentity)
         EXPECT_EQ(oracle.completed, fast.completed) << cell.name;
         EXPECT_EQ(oracle.outcome, fast.outcome) << cell.name;
         EXPECT_EQ(oracle.generation, fast.generation) << cell.name;
+    }
+}
+
+// The serial-chain fast path must carry the steady state of a chain-
+// bound run, or a change to its entry test can switch it off without
+// any fingerprint noticing. It is the event-skip clock's alone.
+TEST(FastForward, ChainFastPathCarriesSteadyState)
+{
+    RunConfig cfg;
+    cfg.kind = WorkloadKind::kLinkedList;
+    cfg.params.seed = 42;
+    cfg.params.initOps = 200;
+    cfg.params.simOps = 25;
+    cfg.params.mode = PersistMode::kNone;
+
+    RunResult skip = runExperiment(cfg);
+    ASSERT_TRUE(skip.completed);
+    EXPECT_GE(skip.perf.chainFastCycles * 5, skip.stats.cycles * 4)
+        << skip.perf.chainFastCycles << " of " << skip.stats.cycles
+        << " cycles on the fast path";
+
+    cfg.sim.eventSkip = false;
+    RunResult tick = runExperiment(cfg);
+    EXPECT_EQ(tick.perf.chainFastCycles, 0u);
+    EXPECT_EQ(statsCsvRow("", tick.stats), statsCsvRow("", skip.stats));
+}
+
+// The fast path's entry test must hold up on machines whose queues are
+// not the Table 2 sizes. With an issue queue deeper than the fetch
+// queue, a chain can reach the ROB head while dispatch still streams at
+// full width; stepCycle() then dispatches several ops, so the fast path
+// (one op) must stay off until the issue queue is full.
+TEST(FastForward, ChainFastPathMatchesOracleOnOtherQueueSizes)
+{
+    std::vector<MicroOp> ops;
+    for (unsigned i = 0; i < 8; ++i)
+        ops.push_back(MicroOp::aluChain(1, i ? 1 : 0));
+    // More loads than the LSQ holds: dispatch blocks, the fetch queue
+    // fills, then dispatch streams again once the loads retire.
+    for (unsigned i = 0; i < 60; ++i)
+        ops.push_back(MicroOp::load(0x10000000 + (i % 8) * 8, 8));
+    for (unsigned i = 0; i < 400; ++i)
+        ops.push_back(MicroOp::aluChain(1, i ? 1 : 0));
+
+    for (unsigned iq : {48u, 64u, 100u}) {
+        std::string csv[2];
+        uint64_t fast[2] = {};
+        for (bool skip : {false, true}) {
+            SimConfig cfg;
+            cfg.eventSkip = skip;
+            cfg.core.issueQueueSize = iq;
+            MemImage durable;
+            Stats stats;
+            TraceProgram prog(ops);
+            MemSystem mc(cfg.mem, durable);
+            CacheHierarchy caches(cfg, mc);
+            mc.setStats(&stats);
+            caches.setStats(&stats);
+            OooCore core(cfg, prog, caches, mc, stats);
+            core.run();
+            csv[skip] = statsCsvRow("", stats);
+            fast[skip] = core.chainFastCycles();
+        }
+        EXPECT_EQ(csv[0], csv[1]) << "issue queue " << iq;
+        EXPECT_EQ(fast[0], 0u) << "issue queue " << iq;
+        EXPECT_GT(fast[1], 0u) << "issue queue " << iq;
     }
 }
 

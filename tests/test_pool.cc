@@ -111,6 +111,29 @@ TEST(RingDeque, HighWaterAndStat)
     EXPECT_GE(s.capacity, 33u);
 }
 
+TEST(RingDeque, EmplaceBackFillsTheSlotAndPopBackRetractsIt)
+{
+    RingDeque<int> q;
+    for (int i = 0; i < 5; ++i)
+        q.push_back(i);
+    q.pop_front(); // 4 left, high water 5
+    q.emplace_back() = 10;
+    ASSERT_EQ(q.size(), 5u);
+    EXPECT_EQ(q.back(), 10);
+    EXPECT_EQ(q[0], 1);
+
+    // A retracted slot was never an element: it does not count toward
+    // the high-water mark, and the next append reuses it.
+    q.emplace_back() = 11;
+    q.pop_back();
+    EXPECT_EQ(q.size(), 5u);
+    EXPECT_EQ(q.back(), 10);
+    EXPECT_EQ(q.highWater(), 5u);
+    q.push_back(12);
+    EXPECT_EQ(q.back(), 12);
+    EXPECT_EQ(q.highWater(), 6u);
+}
+
 // --------------------------------------------------------------------------
 // FixedPool
 // --------------------------------------------------------------------------

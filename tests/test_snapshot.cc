@@ -301,6 +301,57 @@ TEST(Snapshot, RejectsObserverMismatch)
     EXPECT_THROW(resumed.restoreSnapshot(snap), std::exception);
 }
 
+// A cut inside the serial-chain steady state (OooCore::stepChainCycle):
+// the coming cycle takes the fast path, so the snapshot holds fetch-queue
+// slots built in place and a wake heap only that path has touched. The
+// resumed run must match the uninterrupted one, and a save right after
+// the restore must reproduce the cut byte for byte.
+TEST(Snapshot, CutInsideChainFastPath)
+{
+    auto saveBytes = [](const Machine &m) {
+        SnapshotWriter w;
+        m.save(w);
+        return w.take();
+    };
+    for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf}) {
+        RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, false);
+        cfg.params.mode = mode;
+        SCOPED_TRACE(persistModeName(mode));
+        RunResult serial = runExperiment(cfg);
+        ASSERT_GT(serial.perf.chainFastCycles, 0u);
+
+        // Step a probe restored from the cut by one cycle: it counts a
+        // fast cycle exactly when the cut is in the steady state.
+        auto fastAt = [&](const std::vector<uint8_t> &cut, Tick at) {
+            Machine probe(cfg, nullptr, /*deferSetup=*/true);
+            SnapshotReader r(cut);
+            probe.restore(r);
+            probe.runUntil(at + 1);
+            return probe.finish().perf.chainFastCycles == 1;
+        };
+        Machine producer(cfg);
+        std::vector<uint8_t> cut;
+        for (Tick at = serial.stats.cycles / 2; cut.empty(); at += 97) {
+            ASSERT_LT(at, serial.stats.cycles) << "no steady-state cut";
+            producer.runUntil(at);
+            std::vector<uint8_t> bytes = saveBytes(producer);
+            if (fastAt(bytes, producer.now()))
+                cut = std::move(bytes);
+        }
+
+        Machine resumed(cfg, nullptr, /*deferSetup=*/true);
+        SnapshotReader r(cut);
+        resumed.restore(r);
+        EXPECT_TRUE(r.exhausted());
+        EXPECT_TRUE(saveBytes(resumed) == cut)
+            << "save after restore differs from the cut";
+        resumed.runUntil(kTickNever);
+        RunResult result = resumed.finish();
+        EXPECT_EQ(fingerprint(result), fingerprint(serial));
+        EXPECT_GT(result.perf.chainFastCycles, 0u);
+    }
+}
+
 namespace
 {
 
