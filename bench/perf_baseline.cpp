@@ -27,14 +27,9 @@
  *     gated exactly like smoke_audit (identical simulated cycles,
  *     relative throughput envelope) so CPI-stack bookkeeping can never
  *     silently tax or perturb the simulator.
- *   - single_run_serial / single_run_sliced: ONE long fully-observed run
- *     (trace + audit + cycle account), serial vs parallel-in-time at 8
- *     workers (harness/slice.hh). The two results must be byte-identical
- *     -- a mismatch fails the bench outright, --check or not. Under
- *     --check the sliced suite must also reach the target speedup over
- *     serial (SP_BENCH_SLICE_SPEEDUP, default 2.0x) whenever the host
- *     has >= 8 hardware threads; on smaller hosts the speedup is
- *     reported but not gated, since parallelism cannot manifest.
+ *   - single_run_serial: ONE long fully-observed run (trace + audit +
+ *     cycle account), gated like every other suite on throughput and
+ *     allocations.
  *
  * Per suite it reports simulated cycles, wall seconds, simulated
  * cycles/second, and heap allocations (counted by the interposed
@@ -44,7 +39,7 @@
  * Usage:
  *   bench_perf_baseline            run all suites, write BENCH_perf.json
  *   bench_perf_baseline --smoke    run only the smoke suite
- *   bench_perf_baseline --single-run  run only the single_run suites
+ *   bench_perf_baseline --single-run  run only the single_run suite
  *   bench_perf_baseline --check F  compare cycles/sec per suite against
  *                                  the `suites` object in JSON file F;
  *                                  exit 1 on >25% regression (override
@@ -68,12 +63,9 @@
 #include <new>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "harness/report.hh"
 #include "harness/runner.hh"
-#include "harness/slice.hh"
 #include "sim/trace.hh"
 #include "workloads/factory.hh"
 
@@ -260,16 +252,14 @@ smokeAccountGrid()
 
 /**
  * One long, fully observed run: every expensive observer attached, so
- * the sliced path has real observer work to overlap.
+ * observer cost shows next to simulation cost.
  */
 RunConfig
 singleRunConfig()
 {
     RunConfig cfg =
         makeRunConfig(WorkloadKind::kBTree, PersistMode::kLogPSf, true);
-    // Long enough that simulation dominates the (serial) functional
-    // setup -- the Amdahl term both paths pay -- so the sliced speedup
-    // measures the pipeline, not the fast-forward.
+    // Long enough that simulation dominates the functional setup.
     cfg.params.simOps = 12000;
     cfg.trace.categories = kTraceAll;
     cfg.audit.enabled = true;
@@ -277,26 +267,17 @@ singleRunConfig()
     return cfg;
 }
 
-/** Everything the run produced, as one comparable string. */
-std::string
-runFingerprint(const RunResult &r)
-{
-    return statsCsvRow("", r.stats) + "|" + r.trace.toJson() + "|" +
-        r.audit.toJson() + "|" + r.account.toJson() + "|" +
-        std::to_string(r.durable.hash()) + "|" +
-        std::to_string(r.functionalGeneration);
-}
-
-template <typename Fn>
+/** Time the single_run suite: one fully observed serial run. */
 SuiteResult
-timeSingleRun(const std::string &name, Fn &&fn, std::string *fingerprint)
+runSingleRunSuite()
 {
     SuiteResult result;
-    result.name = name;
+    result.name = "single_run_serial";
     result.runs = 1;
+    RunConfig cfg = singleRunConfig();
     uint64_t allocs0 = g_allocations.load(std::memory_order_relaxed);
     auto t0 = std::chrono::steady_clock::now();
-    RunResult run = fn();
+    RunResult run = runExperiment(cfg);
     auto t1 = std::chrono::steady_clock::now();
     result.simCycles = run.stats.cycles;
     result.transHits =
@@ -307,50 +288,7 @@ timeSingleRun(const std::string &name, Fn &&fn, std::string *fingerprint)
     result.allocations =
         g_allocations.load(std::memory_order_relaxed) - allocs0;
     result.warmupAllocations = result.allocations;
-    *fingerprint = runFingerprint(run);
     return result;
-}
-
-void printSuite(const SuiteResult &s);
-
-/**
- * Run the single_run pair and append both suites. The byte-identity of
- * the sliced result is a hard gate: a divergence is a correctness bug,
- * not a perf regression, so it fails the bench immediately.
- *
- * @retval false the sliced run diverged from the serial one.
- */
-bool
-runSingleRunSuites(std::vector<SuiteResult> &results)
-{
-    RunConfig cfg = singleRunConfig();
-    std::string serialFp, slicedFp;
-    results.push_back(timeSingleRun(
-        "single_run_serial", [&] { return runExperiment(cfg); },
-        &serialFp));
-    printSuite(results.back());
-    double serialWall = results.back().wallSeconds;
-
-    SliceOptions opts;
-    opts.workers = 8;
-    results.push_back(timeSingleRun(
-        "single_run_sliced",
-        [&] { return runSlicedExperiment(cfg, opts); }, &slicedFp));
-    printSuite(results.back());
-
-    if (serialFp != slicedFp) {
-        std::fprintf(stderr,
-                     "single_run: sliced result DIVERGED from serial "
-                     "(stats/trace/audit/account/image must be "
-                     "byte-identical)\n");
-        return false;
-    }
-    double slicedWall = results.back().wallSeconds;
-    std::printf("single_run      sliced == serial (byte-identical); "
-                "speedup %.2fx at %u workers\n",
-                slicedWall > 0 ? serialWall / slicedWall : 0.0,
-                opts.workers);
-    return true;
 }
 
 SuiteResult
@@ -467,18 +405,12 @@ checkAgainstBaseline(const std::vector<SuiteResult> &measured,
 
     int failures = 0;
     const SuiteResult *smoke = nullptr;
-    const SuiteResult *singleSerial = nullptr;
-    const SuiteResult *singleSliced = nullptr;
     std::vector<const SuiteResult *> observerCells;
     for (const SuiteResult &s : measured) {
         if (s.name == "smoke")
             smoke = &s;
         else if (s.name == "smoke_audit" || s.name == "smoke_account")
             observerCells.push_back(&s);
-        else if (s.name == "single_run_serial")
-            singleSerial = &s;
-        else if (s.name == "single_run_sliced")
-            singleSliced = &s;
     }
     for (const SuiteResult &s : measured) {
         double baseline = 0;
@@ -501,12 +433,7 @@ checkAgainstBaseline(const std::vector<SuiteResult> &measured,
         // per-op container shows up here long before it costs enough
         // wall time to trip the throughput envelope.
         double allocBase = 0;
-        // single_run_sliced allocates from worker threads whose queue
-        // depth (hence deque-segment count) depends on scheduling, so
-        // its allocation count is the one nondeterministic one -- not
-        // gated.
-        if (s.name != "single_run_sliced" &&
-            extractSuiteField(json, s.name, "allocations", &allocBase)) {
+        if (extractSuiteField(json, s.name, "allocations", &allocBase)) {
             double measuredAllocs = static_cast<double>(s.allocations);
             bool allocOk =
                 measuredAllocs <= allocBase * (1.0 + allocTolerance);
@@ -549,44 +476,6 @@ checkAgainstBaseline(const std::vector<SuiteResult> &measured,
             ++failures;
     }
 
-    // The parallel-in-time speedup gate: sliced must beat serial by the
-    // target factor. Only meaningful where the 8 slice workers can
-    // actually run in parallel; on smaller hosts the ratio is reported
-    // but not gated (it would only measure oversubscription overhead).
-    if (singleSerial && singleSliced) {
-        double required = 2.0;
-        if (const char *env = std::getenv("SP_BENCH_SLICE_SPEEDUP")) {
-            double v = std::strtod(env, nullptr);
-            if (v > 0)
-                required = v;
-        }
-        double speedup = singleSerial->wallSeconds > 0
-            ? singleSerial->wallSeconds / singleSliced->wallSeconds
-            : 0.0;
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw >= 8) {
-            bool ok = speedup >= required;
-            std::printf("check single_run      %.2fx sliced speedup vs "
-                        "required %.2fx  %s\n",
-                        speedup, required,
-                        ok ? "ok" : "SPEEDUP REGRESSION");
-            if (!ok)
-                ++failures;
-        } else {
-            std::printf("check single_run      %.2fx sliced speedup "
-                        "(gate skipped: %u hardware threads < 8)\n",
-                        speedup, hw);
-        }
-        if (singleSerial->simCycles != singleSliced->simCycles) {
-            std::printf("check single_run      sliced simulated %llu "
-                        "cycles vs serial %llu  DIVERGED\n",
-                        static_cast<unsigned long long>(
-                            singleSliced->simCycles),
-                        static_cast<unsigned long long>(
-                            singleSerial->simCycles));
-            ++failures;
-        }
-    }
     return failures == 0 ? 0 : 1;
 }
 
@@ -641,8 +530,8 @@ main(int argc, char **argv)
         printSuite(results.back());
     }
     if (!smokeOnly) {
-        if (!runSingleRunSuites(results))
-            return 1;
+        results.push_back(runSingleRunSuite());
+        printSuite(results.back());
     }
 
     if (!outPath.empty()) {

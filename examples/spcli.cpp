@@ -18,7 +18,7 @@
  *         [--audit[=FILE]] [--cycle-account[=FILE]]
  *         [--checksums] [--media-faults[=N]]
  *         [--fault-class=ecc|silent|mixed] [--scrub=CYCLES]
- *         [--slices[=WORKERS]] [--snapshot=FILE --snapshot-at=CYCLE]
+ *         [--snapshot=FILE --snapshot-at=CYCLE]
  *         [--resume=FILE] [--sampled[=WINDOWS]]
  *
  * Exit status: 0 on success; 1 when a run or verdict fails (audit
@@ -82,12 +82,7 @@
  *                       file export, "all" for --trace text)
  *   --sample-every=N    occupancy-sampler period in cycles (default 64)
  *
- * Parallel-in-time (harness/slice.hh):
- *   --slices[=W]        run the experiment sliced across W workers
- *                       (default: automatic) -- the producer snapshots
- *                       quiescent boundaries while trailing workers
- *                       replay slices with observers attached; the
- *                       result is byte-identical to the serial run
+ * Snapshots and sampling (harness/machine.hh, harness/sampled.hh):
  *   --snapshot=FILE     write a whole-simulator snapshot to FILE at
  *                       --snapshot-at=CYCLE, then keep running
  *   --resume=FILE       restore FILE (taken under the SAME flags) and
@@ -117,7 +112,7 @@
 #include "harness/machine.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "harness/slice.hh"
+#include "harness/sampled.hh"
 #include "harness/table.hh"
 #include "pmem/recovery.hh"
 #include "sim/snapshot.hh"
@@ -148,7 +143,6 @@ usage(const char *msg = nullptr)
         "             [--audit[=FILE]] [--cycle-account[=FILE]]\n"
         "             [--checksums] [--media-faults[=N]]\n"
         "             [--fault-class=ecc|silent|mixed] [--scrub=CYCLES]\n"
-        "             [--slices[=WORKERS]]\n"
         "             [--snapshot=FILE --snapshot-at=CYCLE]\n"
         "             [--resume=FILE] [--sampled[=WINDOWS]]\n"
         "\n"
@@ -165,9 +159,6 @@ usage(const char *msg = nullptr)
         "               image (needs --crash-at or --crash-matrix)\n"
         "  --fault-class  ecc | silent | mixed fault population\n"
         "  --scrub=CYCLES  patrol-scrubber period for ECC faults\n"
-        "  --slices[=W]  exact parallel-in-time run (byte-identical to\n"
-        "               serial); pair with --trace-categories for the\n"
-        "               merged trace summary\n"
         "  --snapshot=FILE --snapshot-at=CYCLE  checkpoint mid-run\n"
         "  --resume=FILE  restore a snapshot (same flags!) and continue\n"
         "  --sampled[=N]  sampled cycle ESTIMATE with 95% CI\n"
@@ -209,8 +200,6 @@ main(int argc, char **argv)
     bool media = false;
     bool fault_class_given = false;
     bool scrub_given = false;
-    bool sliced = false;
-    unsigned slice_workers = 0;
     std::string snapshot_file;
     Tick snapshot_at = 0;
     std::string resume_file;
@@ -382,12 +371,6 @@ main(int argc, char **argv)
             scrub_given = true;
             cfg.sim.fault.media.scrubInterval =
                 parseNum(value().c_str(), "--scrub");
-        } else if (flag == "--slices") {
-            sliced = true;
-            if (has_inline) {
-                slice_workers = static_cast<unsigned>(
-                    parseNum(inline_value.c_str(), "--slices"));
-            }
         } else if (flag == "--snapshot") {
             snapshot_file = value();
             if (snapshot_file.empty())
@@ -426,31 +409,24 @@ main(int argc, char **argv)
               "CYCLE or --crash-matrix=N");
     cfg.sim.fault.media.seed = cfg.params.seed;
 
-    // The parallel-in-time entry points are whole-run modes; combinations
-    // that would need a different entry point are usage errors.
+    // Sampling, resuming and snapshotting are whole-run modes;
+    // combinations that would need a different entry point are usage
+    // errors.
     bool tracing_flags =
         trace_text || !trace_file.empty() || !trace_csv_file.empty();
-    if (static_cast<int>(sliced) + static_cast<int>(sampled) +
-            static_cast<int>(!resume_file.empty()) >
-        1) {
-        usage("--slices, --sampled, and --resume are exclusive modes");
-    }
-    if ((sliced || sampled || !resume_file.empty()) &&
-        !snapshot_file.empty()) {
+    if (sampled && !resume_file.empty())
+        usage("--sampled and --resume are exclusive modes");
+    if ((sampled || !resume_file.empty()) && !snapshot_file.empty()) {
         usage("--snapshot checkpoints a plain serial run; drop "
-              "--slices/--sampled/--resume");
+              "--sampled/--resume");
     }
     if (snapshot_file.empty() != (snapshot_at == 0))
         usage("--snapshot and --snapshot-at go together");
-    if ((sliced || sampled || !resume_file.empty() ||
-         !snapshot_file.empty()) &&
+    if ((sampled || !resume_file.empty() || !snapshot_file.empty()) &&
         (crash_at != 0 || crash_matrix != 0)) {
         usage("crash injection uses the plain serial path; drop "
-              "--slices/--sampled/--snapshot/--resume");
+              "--sampled/--snapshot/--resume");
     }
-    if (sliced && tracing_flags)
-        usage("--slices replays with per-slice summary tracers; use "
-              "--trace-categories=LIST for the merged summary");
     if (sampled && (tracing_flags || trace_cats != 0 || audit))
         usage("--sampled estimates cycles (and CPI shares with "
               "--cycle-account); tracing and audit need an exact run");
@@ -571,19 +547,7 @@ main(int argc, char **argv)
     }
 
     RunResult r;
-    if (sliced) {
-        // Exact parallel-in-time run; optional merged trace summary.
-        cfg.trace.categories = trace_cats;
-        if (sample_every != 0)
-            cfg.trace.sampleEvery = sample_every;
-        SliceOptions sopts;
-        sopts.workers = slice_workers;
-        r = runSlicedExperiment(cfg, sopts);
-        if (cfg.trace.categories != 0) {
-            std::cout << "trace summary: " << r.trace.toJson()
-                      << "\n\n";
-        }
-    } else if (!resume_file.empty()) {
+    if (!resume_file.empty()) {
         SimSnapshot snap = SimSnapshot::readFile(resume_file);
         std::cout << "resuming " << resume_file << " at tick "
                   << snap.tick << "\n";

@@ -211,20 +211,17 @@ BloomFilter::popcount() const
     return n;
 }
 
+template <class Ar>
 void
-BloomFilter::saveState(SnapshotWriter &w) const
+BloomFilter::serialize(Ar &ar)
 {
-    w.putTag("BLOM");
-    w.putPodVec(words_);
-}
-
-void
-BloomFilter::restoreState(SnapshotReader &r)
-{
-    r.checkTag("BLOM");
+    ar.tag("BLOM");
     size_t nWords = words_.size();
-    r.getPodVec(words_);
+    ar.podVec(words_);
     SP_ASSERT(words_.size() == nWords, "snapshot bloom geometry mismatch");
 }
+
+template void BloomFilter::serialize(SnapshotWriter &);
+template void BloomFilter::serialize(SnapshotReader &);
 
 } // namespace sp

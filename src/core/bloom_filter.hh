@@ -33,8 +33,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Block-address Bloom filter with k independent hash functions. */
 class BloomFilter
@@ -63,9 +61,8 @@ class BloomFilter
     /** "sse2", "neon", or "scalar": which probe path this build uses. */
     static const char *probeImpl();
 
-    /** Snapshot visitors: bit array only (geometry is config-derived). */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot serializer: bit array only (geometry is config-derived). */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     /** Packed bit storage, sizeBits_ bits rounded up to whole words. */

@@ -46,26 +46,27 @@ class BlockLookupTable
     size_t size() const { return blocks_.size(); }
 
     /**
-     * Snapshot visitors: the membership set. Save order is slot order;
+     * Snapshot serializer: the membership set. Save order is slot order;
      * restore re-inserts, which is equivalent because the table only
      * answers contains() and grows at deterministic occupancy points.
      */
+    template <class Ar>
     void
-    saveState(SnapshotWriter &w) const
+    serialize(Ar &ar)
     {
-        w.putTag("BLT ");
-        w.putPod<uint64_t>(blocks_.size());
-        blocks_.forEach([&w](Addr key) { w.putPod(key); });
-    }
-
-    void
-    restoreState(SnapshotReader &r)
-    {
-        r.checkTag("BLT ");
-        blocks_.clear();
-        uint64_t n = r.getPod<uint64_t>();
-        for (uint64_t i = 0; i < n; ++i)
-            blocks_.insert(r.getPod<Addr>());
+        ar.tag("BLT ");
+        uint64_t n = blocks_.size();
+        ar.pod(n);
+        if constexpr (Ar::kLoading) {
+            blocks_.clear();
+            for (uint64_t i = 0; i < n; ++i) {
+                Addr key = 0;
+                ar.pod(key);
+                blocks_.insert(key);
+            }
+        } else {
+            blocks_.forEach([&ar](Addr key) { ar.pod(key); });
+        }
     }
 
   private:

@@ -51,25 +51,19 @@ CheckpointBuffer::reset()
     inUse_ = 0;
 }
 
+template <class Ar>
 void
-CheckpointBuffer::saveState(SnapshotWriter &w) const
+CheckpointBuffer::serialize(Ar &ar)
 {
-    static_assert(std::is_trivially_copyable<Entry>::value,
-                  "CheckpointBuffer::Entry must stay trivially copyable");
-    w.putTag("CKPT");
-    w.putPodVec(entries_);
-    w.putPod(inUse_);
-}
-
-void
-CheckpointBuffer::restoreState(SnapshotReader &r)
-{
-    r.checkTag("CKPT");
+    ar.tag("CKPT");
     size_t capacity = entries_.size();
-    r.getPodVec(entries_);
+    ar.podVec(entries_);
     SP_ASSERT(entries_.size() == capacity,
               "snapshot checkpoint capacity mismatch");
-    r.getPod(inUse_);
+    ar.pod(inUse_);
 }
+
+template void CheckpointBuffer::serialize(SnapshotWriter &);
+template void CheckpointBuffer::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -19,8 +19,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Fixed pool of architectural checkpoints. */
 class CheckpointBuffer
@@ -56,9 +54,8 @@ class CheckpointBuffer
     /** Release every checkpoint (abort handling / speculation exit). */
     void reset();
 
-    /** Snapshot visitors: entry array (slot order matters) + count. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot serializer: entry array (slot order matters) + count. */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     struct Entry

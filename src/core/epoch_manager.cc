@@ -288,47 +288,33 @@ EpochManager::collectPoolStats(std::vector<PoolStat> &out) const
     out.push_back(flushPool_.stat("epochs.flushPool"));
 }
 
+template <class Ar>
 void
-EpochManager::saveState(SnapshotWriter &w) const
+EpochManager::serialize(Ar &ar)
 {
-    w.putTag("EPCH");
-    w.putPod<uint64_t>(epochs_.size());
-    for (size_t i = 0; i < epochs_.size(); ++i) {
-        const Epoch &epoch = epochs_[i];
-        w.putPod(epoch.id);
-        w.putPod(epoch.checkpointIdx);
-        w.putPodVec(epoch.flushes);
-        w.putPod(epoch.isFirst);
-        w.putPod(epoch.closed);
+    ar.tag("EPCH");
+    if constexpr (Ar::kLoading) {
+        for (size_t i = 0; i < epochs_.size(); ++i)
+            recycleFlushes(epochs_[i]);
     }
-    w.putPod(nextEpochId_);
-    w.putPod(preSpecDrained_);
-    w.putPod(strictWaitFlush_);
-    w.putPod(drainBusyUntil_);
+    ar.seq(epochs_, [&](Epoch &epoch) {
+        if constexpr (Ar::kLoading) {
+            epoch = Epoch{};
+            epoch.flushes = flushPool_.take();
+        }
+        ar.pod(epoch.id);
+        ar.pod(epoch.checkpointIdx);
+        ar.podVec(epoch.flushes);
+        ar.pod(epoch.isFirst);
+        ar.pod(epoch.closed);
+    });
+    ar.pod(nextEpochId_);
+    ar.pod(preSpecDrained_);
+    ar.pod(strictWaitFlush_);
+    ar.pod(drainBusyUntil_);
 }
 
-void
-EpochManager::restoreState(SnapshotReader &r)
-{
-    r.checkTag("EPCH");
-    for (size_t i = 0; i < epochs_.size(); ++i)
-        recycleFlushes(epochs_[i]);
-    epochs_.clear();
-    uint64_t n = r.getPod<uint64_t>();
-    for (uint64_t i = 0; i < n; ++i) {
-        Epoch epoch;
-        r.getPod(epoch.id);
-        r.getPod(epoch.checkpointIdx);
-        epoch.flushes = flushPool_.take();
-        r.getPodVec(epoch.flushes);
-        r.getPod(epoch.isFirst);
-        r.getPod(epoch.closed);
-        epochs_.push_back(std::move(epoch));
-    }
-    r.getPod(nextEpochId_);
-    r.getPod(preSpecDrained_);
-    r.getPod(strictWaitFlush_);
-    r.getPod(drainBusyUntil_);
-}
+template void EpochManager::serialize(SnapshotWriter &);
+template void EpochManager::serialize(SnapshotReader &);
 
 } // namespace sp

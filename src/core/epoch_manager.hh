@@ -40,8 +40,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Orchestrates speculative epochs and their in-order commit. */
 class EpochManager
@@ -147,12 +145,11 @@ class EpochManager
     /** Append epoch-queue and flush-pool capacity/high-water stats. */
     void collectPoolStats(std::vector<PoolStat> &out) const;
 
-    /** No live epochs (no open epoch trace spans): slice-safe point. */
+    /** No live epochs (no open epoch trace spans): a quiescent point. */
     bool idle() const { return epochs_.empty(); }
 
-    /** Snapshot visitors: live epochs + ids and drain bookkeeping. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot serializer: live epochs + ids and drain bookkeeping. */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     struct Epoch

@@ -105,29 +105,30 @@ SpeculativeStoreBuffer::collectPoolStats(std::vector<PoolStat> &out) const
     out.push_back(epochIds_.stat("ssb.epochRuns"));
 }
 
+template <class Ar>
 void
-SpeculativeStoreBuffer::saveState(SnapshotWriter &w) const
+SpeculativeStoreBuffer::serialize(Ar &ar)
 {
-    w.putTag("SSB ");
-    w.putRing(entries_);
+    ar.tag("SSB ");
+    if constexpr (!Ar::kLoading) {
+        ar.ring(entries_);
+    } else {
+        RingDeque<SsbEntry> entries;
+        ar.ring(entries);
+        // Re-push through the normal path so the byte-coverage index and
+        // the epoch run-length view are rebuilt by the same code that
+        // maintains them online; the tracer is detached so the rebuild
+        // publishes nothing.
+        Tracer *tracer = tracer_;
+        tracer_ = nullptr;
+        clear();
+        for (size_t i = 0; i < entries.size(); ++i)
+            push(entries[i]);
+        tracer_ = tracer;
+    }
 }
 
-void
-SpeculativeStoreBuffer::restoreState(SnapshotReader &r)
-{
-    r.checkTag("SSB ");
-    RingDeque<SsbEntry> entries;
-    r.getRing(entries);
-    // Re-push through the normal path so the byte-coverage index and
-    // the epoch run-length view are rebuilt by the same code that
-    // maintains them online; the tracer is detached so the rebuild
-    // publishes nothing.
-    Tracer *tracer = tracer_;
-    tracer_ = nullptr;
-    clear();
-    for (size_t i = 0; i < entries.size(); ++i)
-        push(entries[i]);
-    tracer_ = tracer;
-}
+template void SpeculativeStoreBuffer::serialize(SnapshotWriter &);
+template void SpeculativeStoreBuffer::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -26,8 +26,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Kinds of entries buffered in the SSB. */
 enum class SsbEntryType : uint8_t
@@ -117,12 +115,11 @@ class SpeculativeStoreBuffer
     void collectPoolStats(std::vector<PoolStat> &out) const;
 
     /**
-     * Snapshot visitors: entries in FIFO order. Restore re-pushes them
+     * Snapshot serializer: entries in FIFO order. Restore re-pushes them
      * (tracer detached), rebuilding the coverage index and the epoch
      * run-length view through the same invariant-preserving path.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     unsigned capacity_;

@@ -1400,8 +1400,9 @@ OooCore::quiescent() const
            mc_.outstandingFlushes() == 0;
 }
 
+template <class Ar>
 void
-OooCore::saveState(SnapshotWriter &w) const
+OooCore::serialize(Ar &ar)
 {
     static_assert(std::is_trivially_copyable<DynOp>::value,
                   "DynOp must stay trivially copyable");
@@ -1410,166 +1411,119 @@ OooCore::saveState(SnapshotWriter &w) const
     static_assert(std::is_trivially_copyable<FlushFlight>::value,
                   "FlushFlight must stay trivially copyable");
     SP_ASSERT(!ownedTracer_,
-              "cannot snapshot with a text-sink tracer attached");
-    w.putTag("CORE");
-    w.putPod(now_);
+              "cannot snapshot or restore with a text-sink tracer attached");
+    ar.tag("CORE");
+    ar.pod(now_);
 
     // Owned SP structures and the replay window.
-    program_.saveState(w);
-    ssb_.saveState(w);
-    checkpoints_.saveState(w);
-    bloom_.saveState(w);
-    blt_.saveState(w);
-    epochs_.saveState(w);
+    program_.serialize(ar);
+    ssb_.serialize(ar);
+    checkpoints_.serialize(ar);
+    bloom_.serialize(ar);
+    blt_.serialize(ar);
+    epochs_.serialize(ar);
 
     // Pipeline queues. The issue heaps are serialized as raw arrays so
     // pop order among equal keys survives the round trip bit-for-bit.
-    w.putRing(fetchQ_);
-    w.putRing(rob_);
-    w.putPodVec(readySeqs_.raw());
-    w.putPodVec(pendingWakes_.at);
-    w.putPodVec(pendingWakes_.seq);
-    w.putPodVec(waitHead_);
-    w.putPod(unissuedCount_);
-    w.putPod(lsqCount_);
-    w.putPod(nextSeq_);
-    w.putPod(pendingAlu_);
-    w.putPod(pendingAluCursor_);
-    w.putPod(programEnded_);
-    w.putPodVec(doneAt_);
-
-    // Post-retirement store path.
-    w.putRing(storeBuffer_);
-    w.putPod(sbInFlight_);
-    w.putPod(sbHeadDoneAt_);
-    w.putPod(sbInFlightBlock_);
-
-    // Persist-op bookkeeping (gateScratch_ is dead between uses).
-    w.putPodVec(persistAcks_);
-    w.putPodVec(flushes_);
-
-    // Speculation state.
-    w.putPod(specMode_);
-    w.putPod(epochHasPersistOps_);
-    w.putPod(postAbortDrain_);
-    w.putPod(releasedCursor_);
-
-    // Observer cursors (meaningful only with the observer attached, but
-    // cheap and unconditional keeps the payload layout fixed).
-    w.putPod(auditedCursor_);
-    w.putPod(lastCat_);
-    w.putPod(lastBarrier_);
-    w.putPod(frontierCursor_);
-    w.putPod(maxRetiredCursor_);
-    w.putPod(replayUntil_);
-    w.putPod(fenceStallBegin_);
-
-    // Probe schedule (multimap serialized in iteration order; equal-key
-    // order is insertion order and emplace preserves it on restore).
-    w.putPod<uint64_t>(probes_.size());
-    for (const auto &entry : probes_) {
-        w.putPod(entry.first);
-        w.putPod(entry.second);
-    }
-    w.putPod(probePeriod_);
-    w.putPod(nextProbeAt_);
-    w.putPod(probeBase_);
-    w.putPod(probeRange_);
-    w.putPod(probeRngState_);
-
-    governor_.saveState(w);
-    w.putPod(hitMaxCycles_);
-    w.putPod(flags_);
-}
-
-void
-OooCore::restoreState(SnapshotReader &r)
-{
-    SP_ASSERT(!ownedTracer_,
-              "cannot restore with a text-sink tracer attached");
-    r.checkTag("CORE");
-    r.getPod(now_);
-
-    program_.restoreState(r);
-    ssb_.restoreState(r);
-    checkpoints_.restoreState(r);
-    bloom_.restoreState(r);
-    blt_.restoreState(r);
-    epochs_.restoreState(r);
-
-    r.getRing(fetchQ_);
-    r.getRing(rob_);
-    {
+    ar.ring(fetchQ_);
+    ar.ring(rob_);
+    if constexpr (Ar::kLoading) {
         std::vector<uint64_t> heap;
-        r.getPodVec(heap);
+        ar.podVec(heap);
         readySeqs_.restoreRaw(heap);
+    } else {
+        ar.podVec(readySeqs_.raw());
     }
-    r.getPodVec(pendingWakes_.at);
-    r.getPodVec(pendingWakes_.seq);
-    SP_ASSERT(pendingWakes_.at.size() == pendingWakes_.seq.size(),
-              "wake-heap arrays out of step in snapshot");
-    if (pendingWakes_.at.size() > pendingWakes_.highWater)
-        pendingWakes_.highWater = pendingWakes_.at.size();
-    r.getPodVec(waitHead_);
+    ar.podVec(pendingWakes_.at);
+    ar.podVec(pendingWakes_.seq);
+    if constexpr (Ar::kLoading) {
+        SP_ASSERT(pendingWakes_.at.size() == pendingWakes_.seq.size(),
+                  "wake-heap arrays out of step in snapshot");
+        if (pendingWakes_.at.size() > pendingWakes_.highWater)
+            pendingWakes_.highWater = pendingWakes_.at.size();
+    }
+    ar.podVec(waitHead_);
     SP_ASSERT(waitHead_.size() == kRingSize,
               "snapshot wait-ring size mismatch");
-    r.getPod(unissuedCount_);
-    r.getPod(lsqCount_);
-    r.getPod(nextSeq_);
-    r.getPod(pendingAlu_);
-    r.getPod(pendingAluCursor_);
-    r.getPod(programEnded_);
-    r.getPodVec(doneAt_);
+    ar.pod(unissuedCount_);
+    ar.pod(lsqCount_);
+    ar.pod(nextSeq_);
+    ar.pod(pendingAlu_);
+    ar.pod(pendingAluCursor_);
+    ar.pod(programEnded_);
+    ar.podVec(doneAt_);
     SP_ASSERT(doneAt_.size() == kRingSize,
               "snapshot done-ring size mismatch");
 
-    r.getRing(storeBuffer_);
-    r.getPod(sbInFlight_);
-    r.getPod(sbHeadDoneAt_);
-    r.getPod(sbInFlightBlock_);
+    // Post-retirement store path.
+    ar.ring(storeBuffer_);
+    ar.pod(sbInFlight_);
+    ar.pod(sbHeadDoneAt_);
+    ar.pod(sbInFlightBlock_);
 
-    r.getPodVec(persistAcks_);
-    r.getPodVec(flushes_);
+    // Persist-op bookkeeping (gateScratch_ is dead between uses).
+    ar.podVec(persistAcks_);
+    ar.podVec(flushes_);
 
-    r.getPod(specMode_);
-    r.getPod(epochHasPersistOps_);
-    r.getPod(postAbortDrain_);
-    r.getPod(releasedCursor_);
+    // Speculation state.
+    ar.pod(specMode_);
+    ar.pod(epochHasPersistOps_);
+    ar.pod(postAbortDrain_);
+    ar.pod(releasedCursor_);
 
-    r.getPod(auditedCursor_);
-    r.getPod(lastCat_);
-    r.getPod(lastBarrier_);
-    r.getPod(frontierCursor_);
-    r.getPod(maxRetiredCursor_);
-    r.getPod(replayUntil_);
-    r.getPod(fenceStallBegin_);
+    // Observer cursors (meaningful only with the observer attached, but
+    // cheap and unconditional keeps the payload layout fixed).
+    ar.pod(auditedCursor_);
+    ar.pod(lastCat_);
+    ar.pod(lastBarrier_);
+    ar.pod(frontierCursor_);
+    ar.pod(maxRetiredCursor_);
+    ar.pod(replayUntil_);
+    ar.pod(fenceStallBegin_);
 
-    probes_.clear();
-    uint64_t numProbes = r.getPod<uint64_t>();
-    for (uint64_t i = 0; i < numProbes; ++i) {
-        Tick at = r.getPod<Tick>();
-        Addr block = r.getPod<Addr>();
-        probes_.emplace(at, block);
+    // Probe schedule (multimap in iteration order; equal-key order is
+    // insertion order and emplace preserves it on restore).
+    uint64_t numProbes = probes_.size();
+    ar.pod(numProbes);
+    if constexpr (Ar::kLoading) {
+        probes_.clear();
+        for (uint64_t i = 0; i < numProbes; ++i) {
+            Tick at = 0;
+            Addr block = 0;
+            ar.pod(at);
+            ar.pod(block);
+            probes_.emplace(at, block);
+        }
+    } else {
+        for (const auto &[at, block] : probes_) {
+            ar.pod(at);
+            ar.pod(block);
+        }
     }
-    r.getPod(probePeriod_);
-    r.getPod(nextProbeAt_);
-    r.getPod(probeBase_);
-    r.getPod(probeRange_);
-    r.getPod(probeRngState_);
+    ar.pod(probePeriod_);
+    ar.pod(nextProbeAt_);
+    ar.pod(probeBase_);
+    ar.pod(probeRange_);
+    ar.pod(probeRngState_);
 
-    governor_.restoreState(r);
-    r.getPod(hitMaxCycles_);
-    r.getPod(flags_);
+    governor_.serialize(ar);
+    ar.pod(hitMaxCycles_);
+    ar.pod(flags_);
 
-    // The interval sampler fires at absolute multiples of its period
-    // (see stepCycle); re-derive the next firing from the restored
-    // clock so a replayed slice samples at the serial run's exact
-    // ticks whether or not the snapshotting run had a tracer.
-    Tick every = tracer_ ? tracer_->sampleEvery() : 0;
-    if (every != 0 && tracer_->enabled(kTraceCounters))
-        nextSampleAt_ = (now_ + every - 1) / every * every;
-    else
-        nextSampleAt_ = now_;
+    if constexpr (Ar::kLoading) {
+        // The interval sampler fires at absolute multiples of its period
+        // (see stepCycle); re-derive the next firing from the restored
+        // clock so a resumed run samples at the uninterrupted run's
+        // exact ticks whether or not the snapshotting run had a tracer.
+        Tick every = tracer_ ? tracer_->sampleEvery() : 0;
+        if (every != 0 && tracer_->enabled(kTraceCounters))
+            nextSampleAt_ = (now_ + every - 1) / every * every;
+        else
+            nextSampleAt_ = now_;
+    }
 }
+
+template void OooCore::serialize(SnapshotWriter &);
+template void OooCore::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -58,8 +58,6 @@
 namespace sp
 {
 
-class SnapshotReader;
-class SnapshotWriter;
 
 /** The simulated core: owns the SP structures, drives the whole machine. */
 class OooCore
@@ -202,27 +200,24 @@ class OooCore
     void collectPoolStats(std::vector<PoolStat> &out) const;
 
     /**
-     * A quiescent cut point for slice-parallel replay: not speculating,
-     * no post-abort drain in progress, retirement not fence-blocked, no
-     * open fence-stall span, no live epochs, and no pcommit flush
-     * pending in the memory system. At such a point every trace span
-     * and every cycle-account ledger episode is closed, so per-slice
-     * observer results partition the serial stream exactly.
+     * A quiescent cut point: not speculating, no post-abort drain in
+     * progress, retirement not fence-blocked, no open fence-stall span,
+     * no live epochs, and no pcommit flush pending in the memory system.
+     * At such a point every trace span and every cycle-account ledger
+     * episode is closed.
      */
     bool quiescent() const;
 
     /**
-     * Snapshot visitors for the core and everything it owns (SSB,
+     * Snapshot serializer for the core and everything it owns (SSB,
      * checkpoints, Bloom, BLT, epochs, replay window, pipeline queues,
      * probe schedule, governor). External structures (caches, memory
-     * system, program source) are visited by their owners; observer
-     * pointers are re-attached before restoreState() runs, and the
-     * interval sampler's next firing tick is recomputed from the
-     * attached tracer so a restored run samples at the identical
-     * absolute ticks.
+     * system, program source) are serialized by their owners; observer
+     * pointers are re-attached before a restore runs, and the interval
+     * sampler's next firing tick is recomputed from the attached tracer
+     * so a restored run samples at the identical absolute ticks.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     /** One in-flight dynamic micro-op. */

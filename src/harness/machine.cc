@@ -63,9 +63,8 @@ Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
         core_->setAuditor(auditor_.get());
     }
     if (cfg_.account.enabled) {
-        ownedAccountant_ = std::make_unique<CycleAccountant>();
-        accountant_ = ownedAccountant_.get();
-        core_->setAccountant(accountant_);
+        accountant_ = std::make_unique<CycleAccountant>();
+        core_->setAccountant(accountant_.get());
     }
     if (cfg_.probePeriod != 0) {
         // Target the hot region: workload metadata, the undo log, and the
@@ -121,101 +120,67 @@ Machine::opsGenerated() const
     return workload_->opsGenerated();
 }
 
-void
-Machine::setAccountant(CycleAccountant *accountant)
+namespace
 {
-    ownedAccountant_.reset();
-    accountant_ = accountant;
-    core_->setAccountant(accountant);
+
+/**
+ * An optional section: a presence byte, then the component when present.
+ * A section the snapshot carries must have a component to restore into;
+ * with `exact`, a component the snapshot lacks is rejected too.
+ * Observers are not exact: a snapshot taken without a tracer restores
+ * into a traced machine (spcli --resume with trace flags).
+ */
+template <class Ar, class T, class F>
+void
+optionalSection(Ar &ar, T *component, bool exact, const char *what,
+                F body)
+{
+    uint8_t present = component ? 1 : 0;
+    ar.pod(present);
+    if constexpr (Ar::kLoading) {
+        if (present && !component) {
+            throw SnapshotError(std::string("snapshot carries ") + what +
+                                " state but the machine has none");
+        }
+        if (exact && !present && component) {
+            throw SnapshotError(std::string("snapshot lacks the ") + what +
+                                " state the machine configuration has");
+        }
+    }
+    if (present)
+        body(*component);
 }
 
-void
-Machine::setTracer(Tracer *tracer)
-{
-    ownedTracer_.reset();
-    tracer_ = tracer;
-    core_->setTracer(tracer);
-}
+} // namespace
 
+template <class Ar>
 void
-Machine::save(SnapshotWriter &w) const
+Machine::serialize(Ar &ar)
 {
     static_assert(std::is_trivially_copyable<Stats>::value,
                   "Stats must stay trivially copyable");
     static_assert(std::is_trivially_copyable<CycleAccountant>::value,
                   "CycleAccountant must stay trivially copyable");
-    static_assert(std::is_trivially_copyable<ConflictInjector>::value,
-                  "ConflictInjector must stay trivially copyable");
-    w.putTag("MACH");
-    w.putPod(stats_);
-    workload_->saveState(w);
-    durable_.saveState(w);
-    mc_->saveState(w);
-    caches_->saveState(w);
-    core_->saveState(w);
-
-    w.putPod<uint8_t>(injector_ ? 1 : 0);
-    if (injector_)
-        injector_->saveState(w);
-
-    // Observer sections are optional: a snapshot taken without a tracer
-    // (the slice producer) restores into a machine with a fresh one.
-    w.putPod<uint8_t>(tracer_ ? 1 : 0);
-    if (tracer_)
-        tracer_->saveState(w);
-    w.putPod<uint8_t>(auditor_ ? 1 : 0);
-    if (auditor_)
-        auditor_->saveState(w);
-    w.putPod<uint8_t>(accountant_ ? 1 : 0);
-    if (accountant_)
-        w.putPod(*accountant_);
-}
-
-void
-Machine::restore(SnapshotReader &r)
-{
     SP_ASSERT(!finished_, "Machine used after finish()");
-    r.checkTag("MACH");
-    r.getPod(stats_);
-    workload_->restoreState(r);
-    durable_.restoreState(r);
-    mc_->restoreState(r);
-    caches_->restoreState(r);
-    core_->restoreState(r);
+    ar.tag("MACH");
+    ar.pod(stats_);
+    workload_->serialize(ar);
+    durable_.serialize(ar);
+    mc_->serialize(ar);
+    caches_->serialize(ar);
+    core_->serialize(ar);
 
-    bool hasInjector = r.getPod<uint8_t>() != 0;
-    if (hasInjector != (injector_ != nullptr)) {
-        throw SnapshotError(
-            "snapshot conflict-injector presence does not match the "
-            "machine configuration");
-    }
-    if (injector_)
-        injector_->restoreState(r);
-
-    bool hasTracer = r.getPod<uint8_t>() != 0;
-    if (hasTracer && !tracer_) {
-        throw SnapshotError(
-            "snapshot carries tracer state but no tracer is attached");
-    }
-    if (hasTracer)
-        tracer_->restoreState(r);
-
-    bool hasAuditor = r.getPod<uint8_t>() != 0;
-    if (hasAuditor && !auditor_) {
-        throw SnapshotError(
-            "snapshot carries audit state but the audit is not enabled");
-    }
-    if (hasAuditor)
-        auditor_->restoreState(r);
-
-    bool hasAccountant = r.getPod<uint8_t>() != 0;
-    if (hasAccountant && !accountant_) {
-        throw SnapshotError("snapshot carries cycle-account state but no "
-                            "accountant is attached");
-    }
-    if (hasAccountant)
-        r.getPod(*accountant_);
+    auto component = [&ar](auto &c) { c.serialize(ar); };
+    optionalSection(ar, injector_.get(), true, "conflict-injector",
+                    component);
+    optionalSection(ar, tracer_, false, "tracer", component);
+    optionalSection(ar, auditor_.get(), false, "audit", component);
+    optionalSection(ar, accountant_.get(), false, "cycle-account",
+                    [&ar](CycleAccountant &a) { ar.pod(a); });
 }
+
+template void Machine::serialize(SnapshotWriter &);
+template void Machine::serialize(SnapshotReader &);
 
 SimSnapshot
 Machine::takeSnapshot() const
@@ -224,7 +189,9 @@ Machine::takeSnapshot() const
     snap.configDesc = describeRunConfig(cfg_);
     snap.tick = core_->now();
     SnapshotWriter w;
-    save(w);
+    // Saving leaves the machine unchanged; serialize() is non-const only
+    // because the same body restores.
+    const_cast<Machine *>(this)->serialize(w);
     snap.payload = w.take();
     return snap;
 }
@@ -240,7 +207,7 @@ Machine::restoreSnapshot(const SimSnapshot &snap)
                             "\"");
     }
     SnapshotReader r(snap.payload);
-    restore(r);
+    serialize(r);
     if (!r.exhausted())
         throw SnapshotError("snapshot has trailing bytes (layout skew)");
     SP_ASSERT(core_->now() == snap.tick,

@@ -7,15 +7,12 @@
  * finish() -- and is bit-identical to the pre-Machine runner. The class
  * exists for the callers that need more than run-to-completion:
  *
- *  - whole-simulator snapshots: takeSnapshot() serializes every stateful
- *    component; a Machine constructed with deferSetup (skipping the
- *    functional fast-forward entirely) restores it and continues with
- *    bit-identical results (harness/slice.hh, spcli --snapshot/--resume);
- *  - slice-parallel replay: the producer advances between quiescent cut
- *    points and snapshots each one while trailing workers replay slices
- *    with observers attached (harness/slice.hh);
+ *  - whole-simulator snapshots: serialize() saves or restores every
+ *    stateful component; a Machine constructed with deferSetup (skipping
+ *    the functional fast-forward entirely) restores a snapshot and
+ *    continues with bit-identical results (spcli --snapshot/--resume);
  *  - sampled measurement: short measured windows at functional offsets
- *    (harness/slice.hh, runSampledExperiment).
+ *    (harness/sampled.hh, runSampledExperiment).
  *
  * Snapshot contract (enforced by tests/test_snapshot.cc): for any run R
  * and any tick T on R's step trajectory, snapshot-at-T + restore + run to
@@ -53,8 +50,8 @@ class Machine
      *        internally (the runExperiment contract).
      * @param deferSetup Skip the functional fast-forward (setup()) and
      *        the initial durable-image copy; the machine is not runnable
-     *        until restoreSnapshot(). This is what makes slice replay
-     *        cheap: a worker pays construction, not InitOps.
+     *        until restoreSnapshot(). This is what makes a resume
+     *        cheap: it pays construction, not InitOps.
      * @param setup Captured post-setup state of exactly cfg's (kind,
      *        params), restored instead of running setup(); the durable
      *        image is then copied as usual, so the run is bit-identical.
@@ -75,8 +72,8 @@ class Machine
     Tick now() const;
     bool done() const;
 
-    /** Quiescent cut point (OooCore::quiescent); slice boundaries only
-     *  happen here so per-slice observer results merge exactly. */
+    /** Quiescent cut point (OooCore::quiescent): no speculation, open
+     *  epoch, fence stall or outstanding flush. */
     bool quiescent() const;
 
     /** Measured-phase operations generated so far (sampled mode). */
@@ -85,37 +82,20 @@ class Machine
     /** Statistics accumulated so far (authoritative copy at finish()). */
     const Stats &stats() const { return stats_; }
 
-    /** The attached cycle accountant, or null (sampled-mode deltas). */
-    CycleAccountant *accountant() { return accountant_; }
+    /** The config-owned cycle accountant, or null (sampled-mode deltas). */
+    const CycleAccountant *accountant() const { return accountant_.get(); }
 
     /**
-     * Attach a per-slice cycle accountant (caller-owned; null detaches).
-     * Replaces any config-owned accountant on the core; used by slice
-     * replay, where each slice accounts separately and the accounts are
-     * summed in slice order.
+     * Save or restore every stateful component (sim/snapshot.hh).
+     * Restoring requires the same observer attachment the snapshot was
+     * taken with or more: a snapshot with no tracer section restores
+     * fine into a machine with a fresh tracer, but a snapshot carrying
+     * observer state cannot restore into a machine lacking that
+     * observer.
      */
-    void setAccountant(CycleAccountant *accountant);
+    template <class Ar> void serialize(Ar &ar);
 
-    /**
-     * Attach a caller-owned tracer (null detaches), replacing any
-     * config-owned one. Attach BEFORE restore(): the core re-derives its
-     * interval-sampler schedule from the tracer attached at restore
-     * time.
-     */
-    void setTracer(Tracer *tracer);
-
-    /**
-     * Serialize / restore every stateful component. Restoring requires
-     * the same observer attachment the snapshot was taken with or fewer
-     * (a snapshot with no tracer section restores fine into a machine
-     * with a fresh tracer -- the slice-replay case -- but a snapshot
-     * carrying observer state cannot restore into a machine lacking
-     * that observer).
-     */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
-
-    /** save() wrapped in a versioned, config-stamped container. */
+    /** serialize() wrapped in a versioned, config-stamped container. */
     SimSnapshot takeSnapshot() const;
 
     /** Restore; throws SnapshotError on config or layout mismatch. */
@@ -144,8 +124,7 @@ class Machine
     std::unique_ptr<CacheHierarchy> caches_;
     std::unique_ptr<OooCore> core_;
     std::unique_ptr<DurabilityAuditor> auditor_;
-    std::unique_ptr<CycleAccountant> ownedAccountant_;
-    CycleAccountant *accountant_ = nullptr;
+    std::unique_ptr<CycleAccountant> accountant_;
     std::unique_ptr<ConflictInjector> injector_;
     bool finished_ = false;
 };

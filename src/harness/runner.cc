@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "harness/machine.hh"
-#include "harness/sweep.hh"
 
 #include "cpu/ooo_core.hh"
 #include "mem/cache_hierarchy.hh"
@@ -149,7 +148,7 @@ runExperiment(const RunConfig &cfg, Tick crashAtCycle, Tracer *tracer,
               const WorkloadSetup *setup)
 {
     // The assembly, run, and teardown all live in Machine now (so
-    // snapshot/slice callers share them); this wrapper is the
+    // snapshot and sampled callers share them); this wrapper is the
     // bit-identical classic entry point.
     Machine machine(cfg, tracer, /*deferSetup=*/false, setup);
     machine.runUntil(crashAtCycle != 0 ? crashAtCycle : kTickNever);
@@ -172,26 +171,6 @@ applyEnvOverrides(WorkloadParams &params)
         if (v > 0)
             params.seed = v;
     }
-}
-
-SeedSweep
-runSeedSweep(RunConfig cfg, unsigned runs, uint64_t firstSeed)
-{
-    SP_ASSERT(runs > 0, "seed sweep needs at least one run");
-    std::vector<SweepJob> jobs(runs);
-    for (unsigned i = 0; i < runs; ++i) {
-        cfg.params.seed = firstSeed + i;
-        jobs[i].cfg = cfg;
-    }
-    SweepSummary summary = summarizeSweep(SweepEngine().run(jobs));
-    SP_ASSERT(summary.failed == 0, "seed sweep run threw");
-    SeedSweep out;
-    out.runs = summary.runs;
-    out.meanCycles = summary.meanCycles;
-    out.stddevCycles = summary.stddevCycles;
-    out.minCycles = summary.minCycles;
-    out.maxCycles = summary.maxCycles;
-    return out;
 }
 
 RunConfig

@@ -193,26 +193,6 @@ void applyEnvOverrides(WorkloadParams &params);
 RunConfig makeRunConfig(WorkloadKind kind, PersistMode mode, bool sp,
                         unsigned ssbEntries = 256, double scale = 1.0);
 
-/** Aggregate of runs over different seeds. */
-struct SeedSweep
-{
-    double meanCycles = 0;
-    double stddevCycles = 0;
-    uint64_t minCycles = 0;
-    uint64_t maxCycles = 0;
-    unsigned runs = 0;
-};
-
-/**
- * Run the experiment once per seed in [firstSeed, firstSeed+runs) and
- * aggregate cycle counts -- run-to-run variation comes only from the
- * workloads' key sequences (the machine itself is deterministic).
- * Runs execute in parallel on the SweepEngine (harness/sweep.hh); the
- * aggregates are bit-identical to a serial loop's for any worker count.
- */
-SeedSweep runSeedSweep(RunConfig cfg, unsigned runs,
-                       uint64_t firstSeed = 1);
-
 } // namespace sp
 
 #endif // SP_HARNESS_RUNNER_HH

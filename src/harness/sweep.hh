@@ -163,11 +163,6 @@ class SweepEngine
     unsigned retryBackoffMs_;
 };
 
-/**
- * Aggregate statistics over the completed runs of a sweep --
- * mean/stddev/min/max of cycle counts plus wall-time accounting,
- * generalizing the old SeedSweep struct.
- */
 /** One non-kOk sweep cell, with enough context to reproduce it. */
 struct SweepFailureRecord
 {
@@ -182,6 +177,10 @@ struct SweepFailureRecord
     unsigned retries = 0;
 };
 
+/**
+ * Aggregate statistics over the completed runs of a sweep --
+ * mean/stddev/min/max of cycle counts plus wall-time accounting.
+ */
 struct SweepSummary
 {
     /** Completed (ok) runs aggregated. */

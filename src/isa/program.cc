@@ -60,23 +60,20 @@ ReplayableProgram::release(Cursor c)
     offset_ -= drop;
 }
 
+template <class Ar>
 void
-ReplayableProgram::saveState(SnapshotWriter &w) const
+ReplayableProgram::serialize(Ar &ar)
 {
-    w.putTag("PROG");
-    w.putRing(window_);
-    w.putPod(base_);
-    w.putPod<uint64_t>(offset_);
-}
-
-void
-ReplayableProgram::restoreState(SnapshotReader &r)
-{
-    r.checkTag("PROG");
-    r.getRing(window_);
-    r.getPod(base_);
-    offset_ = static_cast<size_t>(r.getPod<uint64_t>());
+    ar.tag("PROG");
+    ar.ring(window_);
+    ar.pod(base_);
+    uint64_t offset = offset_;
+    ar.pod(offset);
+    offset_ = static_cast<size_t>(offset);
     SP_ASSERT(offset_ <= window_.size(), "restored cursor outside window");
 }
+
+template void ReplayableProgram::serialize(SnapshotWriter &);
+template void ReplayableProgram::serialize(SnapshotReader &);
 
 } // namespace sp

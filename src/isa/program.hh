@@ -21,8 +21,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Pull-based source of dynamic micro-ops. */
 class Program
@@ -95,11 +93,10 @@ class ReplayableProgram : public Program
     }
 
     /**
-     * Snapshot visitors: retained window + cursor bookkeeping. The
+     * Snapshot serializer: retained window + cursor bookkeeping. The
      * inner Program is restored separately (it is the OpEmitter).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     Program &inner_;

@@ -138,26 +138,20 @@ Cache::flushAll()
     }
 }
 
+template <class Ar>
 void
-Cache::saveState(SnapshotWriter &w) const
+Cache::serialize(Ar &ar)
 {
-    static_assert(std::is_trivially_copyable<Block>::value,
-                  "Cache::Block must stay trivially copyable");
-    w.putTag("CACH");
-    w.putPod(useCounter_);
-    w.putPodVec(blocks_);
-}
-
-void
-Cache::restoreState(SnapshotReader &r)
-{
-    r.checkTag("CACH");
-    r.getPod(useCounter_);
+    ar.tag("CACH");
+    ar.pod(useCounter_);
     size_t frames = blocks_.size();
-    r.getPodVec(blocks_);
+    ar.podVec(blocks_);
     SP_ASSERT(blocks_.size() == frames, name_,
               ": snapshot geometry mismatch (", blocks_.size(), " frames vs ",
               frames, ")");
 }
+
+template void Cache::serialize(SnapshotWriter &);
+template void Cache::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -20,8 +20,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** One cache level. */
 class Cache
@@ -87,12 +85,11 @@ class Cache
     void flushAll();
 
     /**
-     * Snapshot visitors: frame array verbatim (tags, dirty bits, data,
+     * Snapshot serializer: frame array verbatim (tags, dirty bits, data,
      * LRU timestamps) + the recency counter. Geometry is rebuilt from
      * config; the restored machine must use the same CacheConfig.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
     /** Visit every valid block frame (inspection, bulk writeback). */
     template <typename Fn>

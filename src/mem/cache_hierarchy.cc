@@ -240,22 +240,17 @@ CacheHierarchy::writebackAll()
     }
 }
 
+template <class Ar>
 void
-CacheHierarchy::saveState(SnapshotWriter &w) const
+CacheHierarchy::serialize(Ar &ar)
 {
-    w.putTag("CHIE");
-    l1d_.saveState(w);
-    l2_.saveState(w);
-    l3_.saveState(w);
+    ar.tag("CHIE");
+    l1d_.serialize(ar);
+    l2_.serialize(ar);
+    l3_.serialize(ar);
 }
 
-void
-CacheHierarchy::restoreState(SnapshotReader &r)
-{
-    r.checkTag("CHIE");
-    l1d_.restoreState(r);
-    l2_.restoreState(r);
-    l3_.restoreState(r);
-}
+template void CacheHierarchy::serialize(SnapshotWriter &);
+template void CacheHierarchy::serialize(SnapshotReader &);
 
 } // namespace sp

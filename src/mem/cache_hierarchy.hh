@@ -91,9 +91,8 @@ class CacheHierarchy
     Cache &l2() { return l2_; }
     Cache &l3() { return l3_; }
 
-    /** Snapshot visitors: delegate to the three levels. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot serializer: delegate to the three levels. */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     Cache l1d_;

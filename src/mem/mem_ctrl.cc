@@ -296,42 +296,26 @@ MemCtrl::drainAll()
     }
 }
 
+template <class Ar>
 void
-MemCtrl::saveState(SnapshotWriter &w) const
+MemCtrl::serialize(Ar &ar)
 {
-    static_assert(std::is_trivially_copyable<WpqEntry>::value &&
-                      std::is_trivially_copyable<InFlight>::value &&
-                      std::is_trivially_copyable<PendingFlush>::value,
-                  "MemCtrl queue entries must stay trivially copyable");
-    w.putTag("MCTL");
-    w.putRing(wpq_);
-    w.putRing(inflight_);
-    w.putPod(nextSeq_);
-    w.putPod(drainedSeq_);
-    w.putPodVec(bankFreeAt_);
-    w.putPod(jitterRng_);
-    w.putPod(lastNow_);
-    w.putPod(nextFlushId_);
-    w.putRing(pending_);
-    w.putPod(firstPendingId_);
-}
-
-void
-MemCtrl::restoreState(SnapshotReader &r)
-{
-    r.checkTag("MCTL");
-    r.getRing(wpq_);
-    r.getRing(inflight_);
-    r.getPod(nextSeq_);
-    r.getPod(drainedSeq_);
-    r.getPodVec(bankFreeAt_);
+    ar.tag("MCTL");
+    ar.ring(wpq_);
+    ar.ring(inflight_);
+    ar.pod(nextSeq_);
+    ar.pod(drainedSeq_);
+    ar.podVec(bankFreeAt_);
     SP_ASSERT(bankFreeAt_.size() == cfg_.nvmmBanks,
               "snapshot bank count mismatch");
-    r.getPod(jitterRng_);
-    r.getPod(lastNow_);
-    r.getPod(nextFlushId_);
-    r.getRing(pending_);
-    r.getPod(firstPendingId_);
+    ar.pod(jitterRng_);
+    ar.pod(lastNow_);
+    ar.pod(nextFlushId_);
+    ar.ring(pending_);
+    ar.pod(firstPendingId_);
 }
+
+template void MemCtrl::serialize(SnapshotWriter &);
+template void MemCtrl::serialize(SnapshotReader &);
 
 } // namespace sp

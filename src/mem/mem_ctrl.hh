@@ -29,8 +29,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Memory controller + NVMM device model. */
 class MemCtrl
@@ -163,12 +161,11 @@ class MemCtrl
     Tick currentTick() const { return lastNow_; }
 
     /**
-     * Snapshot visitors: WPQ + device-in-flight queues, flush flights,
+     * Snapshot serializer: WPQ + device-in-flight queues, flush flights,
      * bank timing, and the jitter RNG stream. Config and the durable
      * image reference are rebuilt by the restoring machine.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
     /** Append WPQ/in-flight/flush-record capacity and high-water stats. */
     void

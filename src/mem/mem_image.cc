@@ -232,36 +232,43 @@ crc32(const void *data, size_t size, uint32_t seed)
     return ~crc;
 }
 
+template <class Ar>
 void
-MemImage::saveState(SnapshotWriter &w) const
+MemImage::serialize(Ar &ar)
 {
-    w.putTag("MIMG");
-    std::vector<uint64_t> nums = residentPageNumbers();
-    w.putPod<uint64_t>(nums.size());
-    for (uint64_t num : nums) {
-        w.putPod(num);
-        w.putBytes(pages_.find(num)->second->data(), kPageBytes);
-    }
-    w.putPodVec(poisonedLines());
-}
-
-void
-MemImage::restoreState(SnapshotReader &r)
-{
-    r.checkTag("MIMG");
-    clear();
-    uint64_t pageCount = r.getPod<uint64_t>();
+    ar.tag("MIMG");
+    std::vector<uint64_t> nums;
+    if constexpr (Ar::kLoading)
+        clear();
+    else
+        nums = residentPageNumbers();
+    uint64_t pageCount = nums.size();
+    ar.pod(pageCount);
     for (uint64_t i = 0; i < pageCount; ++i) {
-        uint64_t num = r.getPod<uint64_t>();
-        auto page = std::make_unique<Page>();
-        r.getBytes(page->data(), kPageBytes);
-        pages_.emplace(num, std::move(page));
+        uint64_t num = Ar::kLoading ? 0 : nums[i];
+        ar.pod(num);
+        // Whole pages in bulk; a loaded page is filled before it joins
+        // the map, so a corrupt duplicate number cannot leave it dangling.
+        if constexpr (Ar::kLoading) {
+            auto page = std::make_unique<Page>();
+            ar.bytes(page->data(), kPageBytes);
+            pages_.emplace(num, std::move(page));
+        } else {
+            ar.bytes(pages_.find(num)->second->data(), kPageBytes);
+        }
     }
     std::vector<Addr> poisoned;
-    r.getPodVec(poisoned);
-    for (Addr line : poisoned)
-        poison_.insert(line);
+    if constexpr (!Ar::kLoading)
+        poisoned = poisonedLines();
+    ar.podVec(poisoned);
+    if constexpr (Ar::kLoading) {
+        for (Addr line : poisoned)
+            poison_.insert(line);
+    }
 }
+
+template void MemImage::serialize(SnapshotWriter &);
+template void MemImage::serialize(SnapshotReader &);
 
 std::vector<Addr>
 diffLines(const MemImage &a, const MemImage &b)

@@ -26,8 +26,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /**
  * Standard CRC-32 (ISO-HDLC, reflected poly 0xEDB88320) used for log
@@ -169,13 +167,12 @@ class MemImage
     }
 
     /**
-     * Snapshot visitors (sim/snapshot.hh): resident pages in sorted
+     * Snapshot serializer (sim/snapshot.hh): resident pages in sorted
      * page-number order plus the sorted poison set. The translation
      * cache and hit/miss counters are measurement state, not contents,
      * and are reset (not restored) like they are on copy.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     friend bool sameContents(const MemImage &a, const MemImage &b);

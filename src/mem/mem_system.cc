@@ -184,26 +184,19 @@ MemSystem::applyTornWrites(uint64_t seed)
     return torn;
 }
 
+template <class Ar>
 void
-MemSystem::saveState(SnapshotWriter &w) const
+MemSystem::serialize(Ar &ar)
 {
-    w.putTag("MSYS");
-    w.putPod(nextFlushId_);
-    w.putRing(flushParts_);
-    w.putPod(firstFlushId_);
-    for (const auto &ctrl : ctrls_)
-        ctrl->saveState(w);
+    ar.tag("MSYS");
+    ar.pod(nextFlushId_);
+    ar.ring(flushParts_);
+    ar.pod(firstFlushId_);
+    for (auto &ctrl : ctrls_)
+        ctrl->serialize(ar);
 }
 
-void
-MemSystem::restoreState(SnapshotReader &r)
-{
-    r.checkTag("MSYS");
-    r.getPod(nextFlushId_);
-    r.getRing(flushParts_);
-    r.getPod(firstFlushId_);
-    for (auto &ctrl : ctrls_)
-        ctrl->restoreState(r);
-}
+template void MemSystem::serialize(SnapshotWriter &);
+template void MemSystem::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -127,9 +127,8 @@ class MemSystem
         out.push_back(flushParts_.stat("mc.flushParts"));
     }
 
-    /** Snapshot visitors: system flush tracking + every controller. */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Snapshot serializer: system flush tracking + every controller. */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     std::vector<std::unique_ptr<MemCtrl>> ctrls_;

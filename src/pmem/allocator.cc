@@ -62,31 +62,31 @@ NvmAllocator::free(Addr addr, uint64_t bytes)
     freeLists_[rounded].push_back(addr);
 }
 
+template <class Ar>
 void
-NvmAllocator::saveState(SnapshotWriter &w) const
+NvmAllocator::serialize(Ar &ar)
 {
-    w.putTag("ALOC");
-    w.putPod(bump_);
-    w.putPod(bytesLive_);
-    w.putPod<uint64_t>(freeLists_.size());
-    for (const auto &entry : freeLists_) {
-        w.putPod(entry.first);
-        w.putPodVec(entry.second);
+    ar.tag("ALOC");
+    ar.pod(bump_);
+    ar.pod(bytesLive_);
+    uint64_t classes = freeLists_.size();
+    ar.pod(classes);
+    if constexpr (Ar::kLoading) {
+        freeLists_.clear();
+        for (uint64_t i = 0; i < classes; ++i) {
+            uint64_t sizeClass = 0;
+            ar.pod(sizeClass);
+            ar.podVec(freeLists_[sizeClass]);
+        }
+    } else {
+        for (auto &[sizeClass, list] : freeLists_) {
+            ar.pod(sizeClass);
+            ar.podVec(list);
+        }
     }
 }
 
-void
-NvmAllocator::restoreState(SnapshotReader &r)
-{
-    r.checkTag("ALOC");
-    r.getPod(bump_);
-    r.getPod(bytesLive_);
-    freeLists_.clear();
-    uint64_t classes = r.getPod<uint64_t>();
-    for (uint64_t i = 0; i < classes; ++i) {
-        uint64_t sizeClass = r.getPod<uint64_t>();
-        r.getPodVec(freeLists_[sizeClass]);
-    }
-}
+template void NvmAllocator::serialize(SnapshotWriter &);
+template void NvmAllocator::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -23,8 +23,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Deterministic bump allocator over [base, base+size). */
 class NvmAllocator
@@ -63,9 +61,8 @@ class NvmAllocator
     Snapshot save() const;
     void restore(const Snapshot &snapshot);
 
-    /** Whole-simulator snapshot visitors (serialized Snapshot form). */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    /** Whole-simulator snapshot serializer (the Snapshot fields). */
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     Addr base_;

@@ -471,38 +471,25 @@ OpEmitter::persistBarrier()
     sfence();
 }
 
+template <class Ar>
 void
-OpEmitter::saveState(SnapshotWriter &w) const
+OpEmitter::serialize(Ar &ar)
 {
     SP_ASSERT(!shadow_ && !journal_,
               "cannot snapshot inside a shadow or journal pass");
-    w.putTag("EMIT");
-    w.putPod(muted_);
-    w.putRing(queue_);
-    w.putPod(emitted_);
-    w.putPod(finished_);
-    w.putPod(mutationMatches_);
-    w.putPod(mutationDone_);
-    w.putPod(mutationHolding_);
-    w.putPod(mutationHeld_);
-    w.putPod(mutationPcommitsPassed_);
+    ar.tag("EMIT");
+    ar.pod(muted_);
+    ar.ring(queue_);
+    ar.pod(emitted_);
+    ar.pod(finished_);
+    ar.pod(mutationMatches_);
+    ar.pod(mutationDone_);
+    ar.pod(mutationHolding_);
+    ar.pod(mutationHeld_);
+    ar.pod(mutationPcommitsPassed_);
 }
 
-void
-OpEmitter::restoreState(SnapshotReader &r)
-{
-    SP_ASSERT(!shadow_ && !journal_,
-              "cannot restore inside a shadow or journal pass");
-    r.checkTag("EMIT");
-    r.getPod(muted_);
-    r.getRing(queue_);
-    r.getPod(emitted_);
-    r.getPod(finished_);
-    r.getPod(mutationMatches_);
-    r.getPod(mutationDone_);
-    r.getPod(mutationHolding_);
-    r.getPod(mutationHeld_);
-    r.getPod(mutationPcommitsPassed_);
-}
+template void OpEmitter::serialize(SnapshotWriter &);
+template void OpEmitter::serialize(SnapshotReader &);
 
 } // namespace sp

@@ -32,8 +32,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** Which persistence machinery a workload variant includes (Figure 8). */
 enum class PersistMode : uint8_t
@@ -283,13 +281,12 @@ class OpEmitter : public Program
     }
 
     /**
-     * Snapshot visitors: pending op queue, stream position, and the
+     * Snapshot serializer: pending op queue, stream position, and the
      * barrier-mutation interception state. The generator callback and
      * the image reference are rebuilt by the restoring workload; shadow
      * passes never span a snapshot point (asserted).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     MemImage &image_;

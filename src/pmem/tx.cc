@@ -189,35 +189,23 @@ Tx::end()
     em_.persistBarrier(); // step 4: the transaction is complete
 }
 
+template <class Ar>
 void
-Tx::saveState(SnapshotWriter &w) const
+Tx::serialize(Ar &ar)
 {
-    w.putTag("TX  ");
-    w.putPod(count_);
-    w.putPod(cursor_);
+    ar.tag("TX  ");
+    ar.pod(count_);
+    ar.pod(cursor_);
     // A snapshot can land mid-transaction (generation is not cut at
     // transaction boundaries), so the open transaction's tracked ranges
     // ride along. std::pair is not trivially copyable; element-wise.
-    w.putPod<uint64_t>(tracked_.size());
-    for (const auto &[addr, len] : tracked_) {
-        w.putPod(addr);
-        w.putPod(len);
-    }
+    ar.seq(tracked_, [&ar](std::pair<Addr, unsigned> &range) {
+        ar.pod(range.first);
+        ar.pod(range.second);
+    });
 }
 
-void
-Tx::restoreState(SnapshotReader &r)
-{
-    r.checkTag("TX  ");
-    r.getPod(count_);
-    r.getPod(cursor_);
-    uint64_t tracked = r.getPod<uint64_t>();
-    tracked_.clear();
-    for (uint64_t i = 0; i < tracked; ++i) {
-        Addr addr = r.getPod<Addr>();
-        unsigned len = r.getPod<unsigned>();
-        tracked_.emplace_back(addr, len);
-    }
-}
+template void Tx::serialize(SnapshotWriter &);
+template void Tx::serialize(SnapshotReader &);
 
 } // namespace sp

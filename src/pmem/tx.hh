@@ -39,8 +39,6 @@
 namespace sp
 {
 
-class SnapshotWriter;
-class SnapshotReader;
 
 /** One software write-ahead-logging transaction context (reusable). */
 class Tx
@@ -91,12 +89,11 @@ class Tx
     unsigned entries() const { return count_; }
 
     /**
-     * Snapshot visitors: entry count + log cursor. Snapshots are taken
+     * Snapshot serializer: entry count + log cursor. Snapshots are taken
      * between workload operations, so the tracked-range scratch is
      * empty (asserted).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     OpEmitter &em_;

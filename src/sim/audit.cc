@@ -335,103 +335,77 @@ DurabilityAuditor::finalize()
     return report_;
 }
 
+template <class Ar>
 void
-DurabilityAuditor::saveState(SnapshotWriter &w) const
+DurabilityAuditor::serialize(Ar &ar)
 {
     static_assert(std::is_trivially_copyable<AuditFinding>::value,
                   "AuditFinding must stay trivially copyable");
-    static_assert(std::is_trivially_copyable<LineState>::value,
-                  "LineState must stay trivially copyable");
-    static_assert(std::is_trivially_copyable<PendingFlush>::value,
-                  "PendingFlush must stay trivially copyable");
-    w.putTag("AUDT");
-    w.putPod(report_.enabled);
-    w.putPod(report_.ops);
-    w.putPod(report_.loads);
-    w.putPod(report_.stores);
-    w.putPod(report_.flushes);
-    w.putPod(report_.pcommits);
-    w.putPod(report_.fences);
-    w.putPod(report_.epochs);
-    w.putPod(report_.redundantFlushes);
-    w.putPod(report_.redundantFences);
-    w.putPod(report_.redundantPcommits);
-    w.putPod(report_.violationEdges);
-    w.putPod(report_.findingsTruncated);
-    w.putPodVec(report_.findings);
-    w.putPod(finalized_);
+    ar.tag("AUDT");
+    ar.pod(report_.enabled);
+    ar.pod(report_.ops);
+    ar.pod(report_.loads);
+    ar.pod(report_.stores);
+    ar.pod(report_.flushes);
+    ar.pod(report_.pcommits);
+    ar.pod(report_.fences);
+    ar.pod(report_.epochs);
+    ar.pod(report_.redundantFlushes);
+    ar.pod(report_.redundantFences);
+    ar.pod(report_.redundantPcommits);
+    ar.pod(report_.violationEdges);
+    ar.pod(report_.findingsTruncated);
+    ar.podVec(report_.findings);
+    ar.pod(finalized_);
 
     // Canonical (sorted) line order so snapshot bytes are a pure
     // function of audit state, never of hash-map history.
     std::vector<Addr> keys;
-    keys.reserve(lines_.size());
-    for (const auto &entry : lines_)
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    w.putPod<uint64_t>(keys.size());
-    for (Addr key : keys) {
-        w.putPod(key);
-        w.putPod(lines_.find(key)->second);
+    if constexpr (!Ar::kLoading) {
+        keys.reserve(lines_.size());
+        for (const auto &entry : lines_)
+            keys.push_back(entry.first);
+        std::sort(keys.begin(), keys.end());
     }
-
-    std::vector<Addr> dirty(dirtyLines_.begin(), dirtyLines_.end());
-    std::sort(dirty.begin(), dirty.end());
-    w.putPodVec(dirty);
-
-    w.putPod<uint64_t>(pending_.size());
-    for (const PendingFlush &pf : pending_)
-        w.putPod(pf);
-
-    w.putPod(epoch_);
-    w.putPod(openPcommitOp_);
-    w.putPod(flushesSincePcommit_);
-    w.putPod(workSinceFence_);
-}
-
-void
-DurabilityAuditor::restoreState(SnapshotReader &r)
-{
-    r.checkTag("AUDT");
-    r.getPod(report_.enabled);
-    r.getPod(report_.ops);
-    r.getPod(report_.loads);
-    r.getPod(report_.stores);
-    r.getPod(report_.flushes);
-    r.getPod(report_.pcommits);
-    r.getPod(report_.fences);
-    r.getPod(report_.epochs);
-    r.getPod(report_.redundantFlushes);
-    r.getPod(report_.redundantFences);
-    r.getPod(report_.redundantPcommits);
-    r.getPod(report_.violationEdges);
-    r.getPod(report_.findingsTruncated);
-    r.getPodVec(report_.findings);
-    r.getPod(finalized_);
-
-    lines_.clear();
-    uint64_t numLines = r.getPod<uint64_t>();
-    lines_.reserve(numLines);
-    for (uint64_t i = 0; i < numLines; ++i) {
-        Addr key = r.getPod<Addr>();
-        r.getPod(lines_[key]);
+    uint64_t numLines = keys.size();
+    ar.pod(numLines);
+    if constexpr (Ar::kLoading) {
+        lines_.clear();
+        lines_.reserve(numLines);
+        for (uint64_t i = 0; i < numLines; ++i) {
+            Addr key = 0;
+            ar.pod(key);
+            ar.pod(lines_[key]);
+        }
+    } else {
+        for (Addr key : keys) {
+            ar.pod(key);
+            ar.pod(lines_.find(key)->second);
+        }
     }
 
     std::vector<Addr> dirty;
-    r.getPodVec(dirty);
-    dirtyLines_.clear();
-    dirtyLines_.reserve(dirty.size());
-    for (Addr line : dirty)
-        dirtyLines_.insert(line);
+    if constexpr (!Ar::kLoading) {
+        dirty.assign(dirtyLines_.begin(), dirtyLines_.end());
+        std::sort(dirty.begin(), dirty.end());
+    }
+    ar.podVec(dirty);
+    if constexpr (Ar::kLoading) {
+        dirtyLines_.clear();
+        dirtyLines_.reserve(dirty.size());
+        for (Addr line : dirty)
+            dirtyLines_.insert(line);
+    }
 
-    pending_.clear();
-    uint64_t numPending = r.getPod<uint64_t>();
-    for (uint64_t i = 0; i < numPending; ++i)
-        pending_.push_back(r.getPod<PendingFlush>());
+    ar.seq(pending_, [&ar](PendingFlush &pf) { ar.pod(pf); });
 
-    r.getPod(epoch_);
-    r.getPod(openPcommitOp_);
-    r.getPod(flushesSincePcommit_);
-    r.getPod(workSinceFence_);
+    ar.pod(epoch_);
+    ar.pod(openPcommitOp_);
+    ar.pod(flushesSincePcommit_);
+    ar.pod(workSinceFence_);
 }
+
+template void DurabilityAuditor::serialize(SnapshotWriter &);
+template void DurabilityAuditor::serialize(SnapshotReader &);
 
 } // namespace sp

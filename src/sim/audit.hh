@@ -63,8 +63,6 @@
 namespace sp
 {
 
-class SnapshotReader;
-class SnapshotWriter;
 
 /** Audit knobs threaded through RunConfig (plain data, sweepable). */
 struct AuditOptions
@@ -202,13 +200,12 @@ class DurabilityAuditor
     const AuditReport &report() const { return report_; }
 
     /**
-     * Snapshot visitors: full tracking state (per-line durability
+     * Snapshot serializer: full tracking state (per-line durability
      * timeline, unsealed flushes, epoch counters) plus the report built
      * so far, so a resumed run emits byte-identical --audit JSON.
      * Options and controller count are rebuilt from config.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     struct LineState

@@ -330,59 +330,52 @@ SpecGovernor::noteFenceRetired(Tick now)
     }
 }
 
+template <class Ar>
 void
-ConflictInjector::saveState(SnapshotWriter &w) const
+ConflictInjector::serialize(Ar &ar)
 {
     // The object holds padding and a double, so it cannot go through
-    // putPod whole; write it field by field in its own layout instead.
+    // pod whole; it goes field by field in its own layout instead.
     static_assert(offsetof(ConflictInjectConfig, period) == 8 &&
                       sizeof(ConflictInjectConfig) == 56 &&
                       offsetof(ConflictInjector, haveWriter_) == 96 &&
                       offsetof(ConflictInjector, injected_) == 104 &&
                       sizeof(ConflictInjector) == 112,
-                  "ConflictInjector layout changed: update its visitor");
-    w.putPod(cfg_.enabled);
-    w.putPod(cfg_.policy);
-    w.putPod(cfg_.timing);
-    w.putZeros(5);
-    w.putPod(cfg_.period);
-    w.putPod(cfg_.seed);
-    w.putPod(cfg_.hotFraction);
-    w.putPod(cfg_.hotBytes);
-    w.putPod(cfg_.footprintBase);
-    w.putPod(cfg_.footprintBytes);
-    w.putPod(base_);
-    w.putPod(range_);
-    w.putPod(state_);
-    w.putPod(nextAt_);
-    w.putPod(lastWriterBlock_);
-    w.putPod(haveWriter_);
-    w.putZeros(7);
-    w.putPod(injected_);
+                  "ConflictInjector layout changed: update its serializer");
+    ar.pod(cfg_.enabled);
+    ar.pod(cfg_.policy);
+    ar.pod(cfg_.timing);
+    ar.zeros(5);
+    ar.pod(cfg_.period);
+    ar.pod(cfg_.seed);
+    ar.pod(cfg_.hotFraction);
+    ar.pod(cfg_.hotBytes);
+    ar.pod(cfg_.footprintBase);
+    ar.pod(cfg_.footprintBytes);
+    ar.pod(base_);
+    ar.pod(range_);
+    ar.pod(state_);
+    ar.pod(nextAt_);
+    ar.pod(lastWriterBlock_);
+    ar.pod(haveWriter_);
+    ar.zeros(7);
+    ar.pod(injected_);
 }
 
+template void ConflictInjector::serialize(SnapshotWriter &);
+template void ConflictInjector::serialize(SnapshotReader &);
+
+template <class Ar>
 void
-ConflictInjector::restoreState(SnapshotReader &r)
+SpecGovernor::serialize(Ar &ar)
 {
-    r.getPod(*this);
+    ar.tag("GOVR");
+    ar.pod(streak_);
+    ar.pod(backoffUntil_);
+    ar.pod(degradedRemaining_);
 }
 
-void
-SpecGovernor::saveState(SnapshotWriter &w) const
-{
-    w.putTag("GOVR");
-    w.putPod(streak_);
-    w.putPod(backoffUntil_);
-    w.putPod(degradedRemaining_);
-}
-
-void
-SpecGovernor::restoreState(SnapshotReader &r)
-{
-    r.checkTag("GOVR");
-    r.getPod(streak_);
-    r.getPod(backoffUntil_);
-    r.getPod(degradedRemaining_);
-}
+template void SpecGovernor::serialize(SnapshotWriter &);
+template void SpecGovernor::serialize(SnapshotReader &);
 
 } // namespace sp

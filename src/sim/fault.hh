@@ -48,8 +48,6 @@ namespace sp
 {
 
 class MemImage;
-class SnapshotReader;
-class SnapshotWriter;
 class Stats;
 class Tracer;
 
@@ -276,11 +274,10 @@ class ConflictInjector
     uint64_t injected() const { return injected_; }
 
     /**
-     * Snapshot visitors. The section is the object's own byte layout,
+     * Snapshot serializer. The section is the object's own byte layout,
      * with its padding written as zeros.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     ConflictInjectConfig cfg_;
@@ -352,11 +349,10 @@ class SpecGovernor
     Tick backoffUntil() const { return backoffUntil_; }
 
     /**
-     * Snapshot visitors: the three mutable fields only. Config and sink
+     * Snapshot serializer: the three mutable fields only. Config and sink
      * pointers are rebuilt by the owner; attach() runs before restore.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     WatchdogConfig cfg_;

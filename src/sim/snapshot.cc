@@ -14,13 +14,11 @@ std::vector<uint8_t>
 SimSnapshot::serialize() const
 {
     SnapshotWriter w;
-    w.putBytes(kMagic, sizeof(kMagic));
-    w.putPod<uint32_t>(version);
-    w.putString(configDesc);
-    w.putPod<Tick>(tick);
-    w.putPod<uint64_t>(payload.size());
-    if (!payload.empty())
-        w.putBytes(payload.data(), payload.size());
+    w.bytes(kMagic, sizeof(kMagic));
+    w.pod(version);
+    w.string(configDesc);
+    w.pod(tick);
+    w.podVec(payload);
     return w.take();
 }
 
@@ -29,25 +27,18 @@ SimSnapshot::deserialize(const uint8_t *data, size_t n)
 {
     SnapshotReader r(data, n);
     char magic[8];
-    r.getBytes(magic, sizeof(magic));
+    r.bytes(magic, sizeof(magic));
     if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
         throw SnapshotError("not a snapshot file (bad magic)");
     SimSnapshot snap;
-    r.getPod(snap.version);
+    r.pod(snap.version);
     if (snap.version != kVersion)
         throw SnapshotError("unsupported snapshot version " +
                             std::to_string(snap.version) + " (expected " +
                             std::to_string(kVersion) + ")");
-    snap.configDesc = r.getString();
-    r.getPod(snap.tick);
-    uint64_t payloadBytes = r.getPod<uint64_t>();
-    if (r.remaining() < payloadBytes)
-        throw SnapshotError("snapshot truncated: payload promises " +
-                            std::to_string(payloadBytes) + " bytes, file has " +
-                            std::to_string(r.remaining()));
-    snap.payload.resize(static_cast<size_t>(payloadBytes));
-    if (payloadBytes)
-        r.getBytes(snap.payload.data(), static_cast<size_t>(payloadBytes));
+    r.string(snap.configDesc);
+    r.pod(snap.tick);
+    r.podVec(snap.payload);
     return snap;
 }
 

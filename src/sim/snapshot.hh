@@ -1,33 +1,41 @@
 /**
  * @file
- * Whole-simulator snapshot/restore: the byte-stream visitors and the
+ * Whole-simulator snapshot/restore: the two byte-stream archives and the
  * versioned on-disk container.
  *
- * Every stateful component implements the pair
+ * Every stateful component implements one function,
  *
- *     void saveState(SnapshotWriter &w) const;
- *     void restoreState(SnapshotReader &r);
+ *     template <class Ar> void serialize(Ar &ar);
  *
- * with the hard contract that *snapshot-at-T -> restore -> run-to-end
- * is bit-identical to the uninterrupted run* (Stats CSV, TraceSummary,
- * MemImage::hash -- guarded by tests/test_snapshot.cc). The simulator
- * is deterministic and single-threaded per run, so a snapshot is just
- * the exact machine state between two cycles; no component may hide
- * timing-relevant state from its visitor.
+ * instantiated for SnapshotWriter (save) and SnapshotReader (restore),
+ * in the cereal idiom: the same body names each field once, so the two
+ * directions cannot drift apart. The hard contract is that
+ * *snapshot-at-T -> restore -> run-to-end is bit-identical to the
+ * uninterrupted run* (Stats CSV, TraceSummary, MemImage::hash -- guarded
+ * by tests/test_snapshot.cc). The simulator is deterministic and
+ * single-threaded per run, so a snapshot is just the exact machine state
+ * between two cycles; no component may hide timing-relevant state from
+ * its serialize().
  *
  * Serialization discipline:
- *   - Plain scalars and trivially-copyable structs go through putPod/
- *     getPod, which static_assert trivial copyability so a class that
- *     later grows an owning pointer fails to compile, not to restore.
+ *   - Both archives share one verb set: pod, podVec, ring, seq, string,
+ *     bytes, zeros, tag. Plain scalars and trivially-copyable structs go
+ *     through pod, which static_asserts trivial copyability and
+ *     padding-free bytes (SnapshotWriter::determinedBytes); since every
+ *     serialize() is instantiated for the writer too, the check guards
+ *     both directions.
  *   - Containers are written as a u64 count + elements. RingDeques are
  *     restored by clear() + push_back so head/size bookkeeping is
  *     rebuilt; raw ring indices are never persisted.
+ *   - State the restoring side rebuilds rather than reads (indexes, hash
+ *     sets, name mappings, derived schedules) lives in an
+ *     `if constexpr (Ar::kLoading)` block inside the same function.
  *   - Pointers (Stats*, Tracer*, component references) are NEVER
  *     serialized. The restoring side rebuilds the object graph from the
  *     same RunConfig and then overwrites the value state.
- *   - Section tags (putTag/checkTag) bracket each component so an
- *     asymmetric save/restore pair fails loudly at the boundary where
- *     it diverged instead of silently misreading the tail.
+ *   - Section tags bracket each component so a layout skew fails loudly
+ *     at the boundary where it diverged instead of silently misreading
+ *     the tail.
  *
  * The SimSnapshot container adds a magic ("SPSNAP01"), a format version
  * (rejected on mismatch -- there is no cross-version migration), and
@@ -62,10 +70,12 @@ class SnapshotError : public std::runtime_error
     }
 };
 
-/** Append-only byte-stream builder components write themselves into. */
+/** The saving archive: an append-only byte stream. */
 class SnapshotWriter
 {
   public:
+    static constexpr bool kLoading = false;
+
     /**
      * Raw writers copy every byte of a value, padding included. Padding
      * holds whatever the last code to write the object left there, so
@@ -82,57 +92,65 @@ class SnapshotWriter
             std::is_floating_point_v<T>;
     }
 
-    void putBytes(const void *data, size_t n)
+    void bytes(const void *data, size_t n)
     {
         const uint8_t *p = static_cast<const uint8_t *>(data);
         buf_.insert(buf_.end(), p, p + n);
     }
 
     template <typename T>
-    void putPod(const T &value)
+    void pod(const T &value)
     {
         static_assert(std::is_trivially_copyable<T>::value,
-                      "putPod requires a trivially copyable type");
+                      "pod requires a trivially copyable type");
         static_assert(determinedBytes<T>(),
-                      "putPod requires a type without padding bytes");
-        putBytes(&value, sizeof(T));
+                      "pod requires a type without padding bytes");
+        bytes(&value, sizeof(T));
     }
 
-    /** `n` zero bytes (a visitor's stand-in for padding). */
-    void putZeros(size_t n) { buf_.insert(buf_.end(), n, 0); }
+    /** `n` zero bytes (a serializer's stand-in for padding). */
+    void zeros(size_t n) { buf_.insert(buf_.end(), n, 0); }
 
-    void putString(const std::string &s)
+    void string(const std::string &s)
     {
-        putPod<uint64_t>(s.size());
-        putBytes(s.data(), s.size());
+        pod<uint64_t>(s.size());
+        bytes(s.data(), s.size());
     }
 
     template <typename T>
-    void putPodVec(const std::vector<T> &v)
+    void podVec(const std::vector<T> &v)
     {
         static_assert(std::is_trivially_copyable<T>::value,
-                      "putPodVec requires trivially copyable elements");
+                      "podVec requires trivially copyable elements");
         static_assert(determinedBytes<T>(),
-                      "putPodVec requires elements without padding bytes");
-        putPod<uint64_t>(v.size());
+                      "podVec requires elements without padding bytes");
+        pod<uint64_t>(v.size());
         if (!v.empty())
-            putBytes(v.data(), v.size() * sizeof(T));
+            bytes(v.data(), v.size() * sizeof(T));
     }
 
     template <typename T>
-    void putRing(const RingDeque<T> &r)
+    void ring(const RingDeque<T> &r)
     {
-        static_assert(std::is_trivially_copyable<T>::value,
-                      "putRing requires trivially copyable elements");
-        static_assert(determinedBytes<T>(),
-                      "putRing requires elements without padding bytes");
-        putPod<uint64_t>(r.size());
+        pod<uint64_t>(r.size());
         for (size_t i = 0; i < r.size(); ++i)
-            putPod(r[i]);
+            pod(r[i]);
     }
 
-    /** Component-boundary marker; checkTag() verifies it on restore. */
-    void putTag(const char (&tag)[5]) { putBytes(tag, 4); }
+    /**
+     * A counted sequence of non-POD elements: the count, then
+     * `each(element)` for every element in order.
+     */
+    template <typename C, typename F>
+    void seq(C &c, F each)
+    {
+        pod<uint64_t>(c.size());
+        for (auto &element : c)
+            each(element);
+    }
+
+    /** Component-boundary marker; the reader verifies it. */
+    void tag(const char (&tag)[5]) { bytes(tag, 4); }
 
     const std::vector<uint8_t> &bytes() const { return buf_; }
     std::vector<uint8_t> take() { return std::move(buf_); }
@@ -141,10 +159,12 @@ class SnapshotWriter
     std::vector<uint8_t> buf_;
 };
 
-/** Bounds-checked cursor over a snapshot payload. */
+/** The restoring archive: a bounds-checked cursor over a payload. */
 class SnapshotReader
 {
   public:
+    static constexpr bool kLoading = true;
+
     SnapshotReader(const uint8_t *data, size_t n)
         : p_(data), end_(data + n)
     {
@@ -155,68 +175,75 @@ class SnapshotReader
     {
     }
 
-    void getBytes(void *out, size_t n)
+    void bytes(void *out, size_t n)
     {
-        if (static_cast<size_t>(end_ - p_) < n)
-            throw SnapshotError("snapshot truncated: need " +
-                                std::to_string(n) + " bytes, have " +
-                                std::to_string(end_ - p_));
+        need(n);
         std::memcpy(out, p_, n);
         p_ += n;
     }
 
     template <typename T>
-    void getPod(T &value)
+    void pod(T &value)
     {
         static_assert(std::is_trivially_copyable<T>::value,
-                      "getPod requires a trivially copyable type");
-        getBytes(&value, sizeof(T));
+                      "pod requires a trivially copyable type");
+        bytes(&value, sizeof(T));
+    }
+
+    /** Skip the writer's zero padding. */
+    void zeros(size_t n)
+    {
+        need(n);
+        p_ += n;
+    }
+
+    void string(std::string &s)
+    {
+        uint64_t n = count(1);
+        s.assign(reinterpret_cast<const char *>(p_), static_cast<size_t>(n));
+        p_ += n;
     }
 
     template <typename T>
-    T getPod()
-    {
-        T value;
-        getPod(value);
-        return value;
-    }
-
-    std::string getString()
-    {
-        uint64_t n = getPod<uint64_t>();
-        std::string s(static_cast<size_t>(n), '\0');
-        if (n)
-            getBytes(&s[0], static_cast<size_t>(n));
-        return s;
-    }
-
-    template <typename T>
-    void getPodVec(std::vector<T> &v)
+    void podVec(std::vector<T> &v)
     {
         static_assert(std::is_trivially_copyable<T>::value,
-                      "getPodVec requires trivially copyable elements");
-        uint64_t n = getPod<uint64_t>();
+                      "podVec requires trivially copyable elements");
+        uint64_t n = count(sizeof(T));
         v.resize(static_cast<size_t>(n));
         if (n)
-            getBytes(v.data(), static_cast<size_t>(n) * sizeof(T));
+            bytes(v.data(), static_cast<size_t>(n) * sizeof(T));
     }
 
     template <typename T>
-    void getRing(RingDeque<T> &r)
+    void ring(RingDeque<T> &r)
     {
-        uint64_t n = getPod<uint64_t>();
+        uint64_t n = count(sizeof(T));
         r.clear();
         for (uint64_t i = 0; i < n; ++i) {
-            T v;
-            getPod(v);
+            T v{};
+            pod(v);
             r.push_back(v);
         }
     }
 
-    void checkTag(const char (&tag)[5])
+    /** Clear `c`, then read the count and append that many elements,
+     *  each filled by `each`. */
+    template <typename C, typename F>
+    void seq(C &c, F each)
+    {
+        uint64_t n = count(1);
+        c.clear();
+        for (uint64_t i = 0; i < n; ++i) {
+            c.emplace_back();
+            each(c.back());
+        }
+    }
+
+    void tag(const char (&tag)[5])
     {
         char got[5] = {0, 0, 0, 0, 0};
-        getBytes(got, 4);
+        bytes(got, 4);
         if (std::memcmp(got, tag, 4) != 0)
             throw SnapshotError(std::string("snapshot section mismatch: "
                                             "expected '") +
@@ -227,6 +254,30 @@ class SnapshotReader
     size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
   private:
+    /**
+     * A u64 element count, checked against the bytes left: elements of
+     * at least `minBytes` each must fit, so a corrupt count fails here
+     * instead of sizing a container from garbage.
+     */
+    uint64_t count(size_t minBytes)
+    {
+        uint64_t n = 0;
+        pod(n);
+        if (n > remaining() / minBytes)
+            throw SnapshotError("snapshot truncated: " + std::to_string(n) +
+                                " elements promised, " +
+                                std::to_string(remaining()) + " bytes left");
+        return n;
+    }
+
+    void need(size_t n) const
+    {
+        if (remaining() < n)
+            throw SnapshotError("snapshot truncated: need " +
+                                std::to_string(n) + " bytes, have " +
+                                std::to_string(remaining()));
+    }
+
     const uint8_t *p_;
     const uint8_t *end_;
 };

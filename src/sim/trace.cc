@@ -660,57 +660,33 @@ jsonIsValid(const std::string &text, std::string *error)
     return JsonChecker(text).run(error);
 }
 
+template <class Ar>
 void
-TraceSummary::merge(const TraceSummary &other)
-{
-    enabled = enabled || other.enabled;
-    events += other.events;
-    dropped += other.dropped;
-    counterSamples += other.counterSamples;
-    aborts += other.aborts;
-    ssbForwards += other.ssbForwards;
-    bloomFalsePositives += other.bloomFalsePositives;
-    epochsBegun += other.epochsBegun;
-    epochsEnded += other.epochsEnded;
-    fenceStall.merge(other.fenceStall);
-    epochDuration.merge(other.epochDuration);
-    pcommitLatency.merge(other.pcommitLatency);
-}
-
-void
-Tracer::saveState(SnapshotWriter &w) const
+Tracer::serialize(Ar &ar)
 {
     static_assert(std::is_trivially_copyable<TraceSummary>::value,
                   "TraceSummary must stay trivially copyable");
-    w.putTag("TRAC");
-    w.putPod(summary_);
-    w.putPod<uint64_t>(openAsync_.size());
-    for (const OpenAsync &span : openAsync_) {
-        w.putString(traceName(span.name));
-        w.putPod(span.id);
-        w.putPod(span.begin);
-    }
+    ar.tag("TRAC");
+    ar.pod(summary_);
+    ar.seq(openAsync_, [&ar](OpenAsync &span) {
+        // Spans travel by name text, mapped back to the enum on restore.
+        std::string name = Ar::kLoading ? std::string() : traceName(span.name);
+        ar.string(name);
+        if constexpr (Ar::kLoading) {
+            auto known =
+                std::find(std::begin(kNames), std::end(kNames), name);
+            if (known == std::end(kNames))
+                throw SnapshotError("unknown trace span name '" + name + "'");
+            span.name = static_cast<TraceName>(known - std::begin(kNames));
+        }
+        ar.pod(span.id);
+        ar.pod(span.begin);
+    });
+    if constexpr (Ar::kLoading)
+        events_.clear();
 }
 
-void
-Tracer::restoreState(SnapshotReader &r)
-{
-    r.checkTag("TRAC");
-    r.getPod(summary_);
-    uint64_t open = r.getPod<uint64_t>();
-    openAsync_.clear();
-    for (uint64_t i = 0; i < open; ++i) {
-        std::string name = r.getString();
-        auto known = std::find(std::begin(kNames), std::end(kNames), name);
-        if (known == std::end(kNames))
-            throw SnapshotError("unknown trace span name '" + name + "'");
-        OpenAsync span;
-        span.name = static_cast<TraceName>(known - std::begin(kNames));
-        r.getPod(span.id);
-        r.getPod(span.begin);
-        openAsync_.push_back(span);
-    }
-    events_.clear();
-}
+template void Tracer::serialize(SnapshotWriter &);
+template void Tracer::serialize(SnapshotReader &);
 
 } // namespace sp

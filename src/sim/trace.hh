@@ -50,8 +50,6 @@
 namespace sp
 {
 
-class SnapshotReader;
-class SnapshotWriter;
 
 /**
  * Event categories, a bitmask so a run can record only what it needs.
@@ -231,14 +229,6 @@ struct TraceSummary
 
     /** One-line JSON object (histograms as n/mean/p50/p90/p99/max). */
     std::string toJson() const;
-
-    /**
-     * Fold another summary into this one: counts add, histograms merge,
-     * enabled ORs. Exact for slice-parallel replay because every span is
-     * opened and closed within its slice (slices cut at quiescent
-     * boundaries), so per-slice summaries partition the serial stream.
-     */
-    void merge(const TraceSummary &other);
 };
 
 /**
@@ -299,13 +289,12 @@ class Tracer
     void writeCounterCsv(std::ostream &os) const;
 
     /**
-     * Snapshot visitors: the incremental summary plus any open async
+     * Snapshot serializer: the incremental summary plus any open async
      * spans (stored by name text, mapped back to the TraceName on
      * restore). Options are rebuilt from config; retained events are not
      * serialized (a resumed run re-records from the restore point).
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    template <class Ar> void serialize(Ar &ar);
 
   private:
     TraceOptions opts_;

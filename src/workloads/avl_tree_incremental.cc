@@ -215,15 +215,17 @@ AvlTreeIncrementalWorkload::checkImage(const MemImage &img,
 }
 
 void
-AvlTreeIncrementalWorkload::saveExtra(SnapshotWriter &w) const
+AvlTreeIncrementalWorkload::serialize(SnapshotWriter &ar)
 {
-    w.putPod(rebalanceSteps_);
+    serializeBase(ar);
+    ar.pod(rebalanceSteps_);
 }
 
 void
-AvlTreeIncrementalWorkload::restoreExtra(SnapshotReader &r)
+AvlTreeIncrementalWorkload::serialize(SnapshotReader &ar)
 {
-    r.getPod(rebalanceSteps_);
+    serializeBase(ar);
+    ar.pod(rebalanceSteps_);
 }
 
 } // namespace sp

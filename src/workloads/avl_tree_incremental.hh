@@ -43,10 +43,11 @@ class AvlTreeIncrementalWorkload : public AvlTreeWorkload
     /** Rebalance-step transactions committed (diagnostics / benches). */
     uint64_t rebalanceSteps() const { return rebalanceSteps_; }
 
+    void serialize(SnapshotWriter &ar) override;
+    void serialize(SnapshotReader &ar) override;
+
   protected:
     void doOperation() override;
-    void saveExtra(SnapshotWriter &w) const override;
-    void restoreExtra(SnapshotReader &r) override;
 
   private:
     /**

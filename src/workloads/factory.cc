@@ -165,7 +165,7 @@ WorkloadSetup::WorkloadSetup(WorkloadKind kind, const WorkloadParams &params)
     std::unique_ptr<Workload> w = makeWorkload(kind_, params_);
     w->setup();
     SnapshotWriter sw;
-    w->saveState(sw);
+    w->serialize(sw);
     state_ = sw.take();
 }
 
@@ -174,7 +174,7 @@ WorkloadSetup::instantiate() const
 {
     std::unique_ptr<Workload> w = makeWorkload(kind_, params_);
     SnapshotReader r(state_);
-    w->restoreState(r);
+    w->serialize(r);
     SP_ASSERT(r.exhausted(), "workload setup state has trailing bytes");
     return w;
 }

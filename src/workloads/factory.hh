@@ -38,7 +38,7 @@ std::unique_ptr<Workload> makeWorkload(WorkloadKind kind,
 
 /**
  * One workload's post-setup state, captured once and replayed into any
- * number of fresh instances: the Workload::saveState bytes taken right
+ * number of fresh instances: the Workload::serialize bytes taken right
  * after setup(). Restoring them is equivalent to running setup() again
  * (same image, allocator, emitter, tx and rng state) at the cost of a
  * copy, so many-small-runs callers -- campaign cells, their functional

@@ -295,15 +295,17 @@ HashMapWorkload::checkImage(const MemImage &img, std::string *why) const
 }
 
 void
-HashMapWorkload::saveExtra(SnapshotWriter &w) const
+HashMapWorkload::serialize(SnapshotWriter &ar)
 {
-    w.putPod(resizes_);
+    serializeBase(ar);
+    ar.pod(resizes_);
 }
 
 void
-HashMapWorkload::restoreExtra(SnapshotReader &r)
+HashMapWorkload::serialize(SnapshotReader &ar)
 {
-    r.getPod(resizes_);
+    serializeBase(ar);
+    ar.pod(resizes_);
 }
 
 } // namespace sp

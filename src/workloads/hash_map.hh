@@ -39,11 +39,12 @@ class HashMapWorkload : public Workload
     /** Table resizes performed (diagnostics / tests). */
     uint64_t resizes() const { return resizes_; }
 
+    void serialize(SnapshotWriter &ar) override;
+    void serialize(SnapshotReader &ar) override;
+
   protected:
     void create() override;
     void doOperation() override;
-    void saveExtra(SnapshotWriter &w) const override;
-    void restoreExtra(SnapshotReader &r) override;
 
   private:
     static constexpr Addr kMeta = kWorkloadMetaBase;

@@ -146,15 +146,17 @@ StringSwapWorkload::checkImage(const MemImage &img, std::string *why) const
 }
 
 void
-StringSwapWorkload::saveExtra(SnapshotWriter &w) const
+StringSwapWorkload::serialize(SnapshotWriter &ar)
 {
-    w.putPod(array_);
+    serializeBase(ar);
+    ar.pod(array_);
 }
 
 void
-StringSwapWorkload::restoreExtra(SnapshotReader &r)
+StringSwapWorkload::serialize(SnapshotReader &ar)
 {
-    r.getPod(array_);
+    serializeBase(ar);
+    ar.pod(array_);
 }
 
 } // namespace sp

@@ -35,11 +35,12 @@ class StringSwapWorkload : public Workload
     std::vector<std::pair<uint64_t, uint64_t>>
     contents(const MemImage &img) const override;
 
+    void serialize(SnapshotWriter &ar) override;
+    void serialize(SnapshotReader &ar) override;
+
   protected:
     void create() override;
     void doOperation() override;
-    void saveExtra(SnapshotWriter &w) const override;
-    void restoreExtra(SnapshotReader &r) override;
 
   private:
     static constexpr Addr kMeta = kWorkloadMetaBase;

@@ -133,36 +133,36 @@ Workload::bumpGeneration()
     em_.clwb(kGenerationAddr);
 }
 
+template <class Ar>
 void
-Workload::saveState(SnapshotWriter &w) const
+Workload::serializeBase(Ar &ar)
 {
-    SP_ASSERT(stopAtGen_ == 0, "cannot snapshot during functional replay");
-    w.putTag("WKLD");
-    imageStorage_->saveState(w);
-    alloc_.saveState(w);
-    em_.saveState(w);
-    tx_.saveState(w);
-    w.putPod(rng_);
-    w.putPod(opsDone_);
-    w.putPod(created_);
-    w.putPod(serialHandle_);
-    saveExtra(w);
+    SP_ASSERT(stopAtGen_ == 0,
+              "cannot snapshot or restore during functional replay");
+    ar.tag("WKLD");
+    imageStorage_->serialize(ar);
+    alloc_.serialize(ar);
+    em_.serialize(ar);
+    tx_.serialize(ar);
+    ar.pod(rng_);
+    ar.pod(opsDone_);
+    ar.pod(created_);
+    ar.pod(serialHandle_);
+}
+
+template void Workload::serializeBase(SnapshotWriter &);
+template void Workload::serializeBase(SnapshotReader &);
+
+void
+Workload::serialize(SnapshotWriter &ar)
+{
+    serializeBase(ar);
 }
 
 void
-Workload::restoreState(SnapshotReader &r)
+Workload::serialize(SnapshotReader &ar)
 {
-    SP_ASSERT(stopAtGen_ == 0, "cannot restore during functional replay");
-    r.checkTag("WKLD");
-    imageStorage_->restoreState(r);
-    alloc_.restoreState(r);
-    em_.restoreState(r);
-    tx_.restoreState(r);
-    r.getPod(rng_);
-    r.getPod(opsDone_);
-    r.getPod(created_);
-    r.getPod(serialHandle_);
-    restoreExtra(r);
+    serializeBase(ar);
 }
 
 } // namespace sp

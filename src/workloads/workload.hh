@@ -143,20 +143,22 @@ class Workload
     static uint64_t generation(const MemImage &img);
 
     /**
-     * Snapshot visitors: volatile image, allocator, emitter, tx, rng,
+     * Snapshot serializer: volatile image, allocator, emitter, tx, rng,
      * and op progress. Restoring into a freshly constructed (setup()
      * never called) instance is supported and is how replay machines
      * skip the functional fast-forward: the generator hook is installed
-     * by the constructor, and everything else is value state.
-     * Subclasses with fields of their own override saveExtra().
+     * by the constructor, and everything else is value state. The pair
+     * exists because a template cannot be virtual: both forward to
+     * serializeBase(), and a subclass with fields of its own overrides
+     * both to append them.
      */
-    void saveState(SnapshotWriter &w) const;
-    void restoreState(SnapshotReader &r);
+    virtual void serialize(SnapshotWriter &ar);
+    virtual void serialize(SnapshotReader &ar);
 
   protected:
-    /** Subclass hook appended to saveState/restoreState. */
-    virtual void saveExtra(SnapshotWriter &) const {}
-    virtual void restoreExtra(SnapshotReader &) {}
+    /** The base fields, in one body for both directions. */
+    template <class Ar> void serializeBase(Ar &ar);
+
     /** Build the structure's initial state (called once before any op). */
     virtual void create() = 0;
 

@@ -231,8 +231,8 @@ TEST(FastForward, ChainFastPathMatchesOracleOnOtherQueueSizes)
 // record and never reaches a fence that would clear the core's persist
 // bookkeeping. Before compaction, persistAcks_ and flushes_ grew one
 // entry per op for the whole run; the controller kept a record per
-// flush forever. Sliced execution checks the steady state, not just
-// the final (drained) state.
+// flush forever. Running in 50000-cycle chunks checks the steady state,
+// not just the final (drained) state.
 TEST(FastForward, LongRunStateStaysBounded)
 {
     constexpr unsigned kRecords = 3000;

@@ -12,8 +12,26 @@
 
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
 
 using namespace sp;
+
+namespace
+{
+
+/** One sweep job per seed in [firstSeed, firstSeed + runs), summarized. */
+SweepSummary
+seedSweep(RunConfig cfg, unsigned runs, uint64_t firstSeed)
+{
+    std::vector<SweepJob> jobs(runs);
+    for (unsigned i = 0; i < runs; ++i) {
+        cfg.params.seed = firstSeed + i;
+        jobs[i].cfg = cfg;
+    }
+    return summarizeSweep(SweepEngine().run(jobs));
+}
+
+} // namespace
 
 TEST(Runner, MakeRunConfigAppliesArguments)
 {
@@ -39,7 +57,8 @@ TEST(Runner, SeedSweepAggregates)
                                   PersistMode::kNone, false);
     cfg.params.initOps = 100;
     cfg.params.simOps = 10;
-    SeedSweep sweep = runSeedSweep(cfg, 3, 11);
+    SweepSummary sweep = seedSweep(cfg, 3, 11);
+    EXPECT_EQ(sweep.failed, 0u);
     EXPECT_EQ(sweep.runs, 3u);
     EXPECT_GE(sweep.maxCycles, sweep.minCycles);
     EXPECT_GE(sweep.meanCycles, static_cast<double>(sweep.minCycles));
@@ -53,8 +72,10 @@ TEST(Runner, SeedSweepIsDeterministic)
                                   PersistMode::kLogPSf, true);
     cfg.params.initOps = 100;
     cfg.params.simOps = 10;
-    SeedSweep a = runSeedSweep(cfg, 2, 5);
-    SeedSweep b = runSeedSweep(cfg, 2, 5);
+    SweepSummary a = seedSweep(cfg, 2, 5);
+    SweepSummary b = seedSweep(cfg, 2, 5);
+    EXPECT_EQ(a.failed, 0u);
+    EXPECT_EQ(b.failed, 0u);
     EXPECT_EQ(a.minCycles, b.minCycles);
     EXPECT_EQ(a.maxCycles, b.maxCycles);
 }

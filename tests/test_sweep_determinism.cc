@@ -25,6 +25,18 @@ using namespace sp;
 namespace
 {
 
+/** One sweep job per seed in [firstSeed, firstSeed + runs), summarized. */
+SweepSummary
+seedSweep(RunConfig cfg, unsigned runs, uint64_t firstSeed)
+{
+    std::vector<SweepJob> jobs(runs);
+    for (unsigned i = 0; i < runs; ++i) {
+        cfg.params.seed = firstSeed + i;
+        jobs[i].cfg = cfg;
+    }
+    return summarizeSweep(SweepEngine().run(jobs));
+}
+
 /** A small but heterogeneous grid: kinds x variants, plus one crash. */
 std::vector<SweepJob>
 determinismGrid()
@@ -131,7 +143,7 @@ TEST(SweepDeterminism, RepeatedParallelSweepsAgree)
 
 TEST(SweepDeterminism, SeedSweepAggregatesMatchSerialLoop)
 {
-    // runSeedSweep now rides the engine; its aggregates must equal the
+    // A seed sweep on the engine: its aggregates must equal the
     // hand-rolled serial computation exactly (no floating-point drift:
     // the inputs are identical integers, summed in the same order).
     RunConfig cfg = makeRunConfig(WorkloadKind::kLinkedList,
@@ -147,7 +159,8 @@ TEST(SweepDeterminism, SeedSweepAggregatesMatchSerialLoop)
         cycles.push_back(runExperiment(serialCfg).stats.cycles);
     }
 
-    SeedSweep sweep = runSeedSweep(cfg, kRuns, 1);
+    SweepSummary sweep = seedSweep(cfg, kRuns, 1);
+    EXPECT_EQ(sweep.failed, 0u);
     EXPECT_EQ(sweep.runs, kRuns);
     EXPECT_EQ(sweep.minCycles,
               *std::min_element(cycles.begin(), cycles.end()));

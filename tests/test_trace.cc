@@ -221,12 +221,12 @@ TEST(Tracer, SnapshotRestoreClosesOpenSpansByName)
     before.asyncBegin(kTraceEpoch, TraceName::kEpoch, 7, 10);
     before.asyncBegin(kTraceMem, TraceName::kPcommit, 7, 12);
     SnapshotWriter w;
-    before.saveState(w);
+    before.serialize(w);
     std::vector<uint8_t> bytes = w.take();
 
     Tracer after = makeTracer(kTraceAll);
     SnapshotReader r(bytes);
-    after.restoreState(r);
+    after.serialize(r);
     EXPECT_TRUE(r.exhausted());
     after.asyncEnd(kTraceMem, TraceName::kPcommit, 7, 15);
     after.asyncEnd(kTraceEpoch, TraceName::kEpoch, 7, 30);
@@ -242,7 +242,7 @@ TEST(Tracer, SnapshotRestoreClosesOpenSpansByName)
     bytes[at] = 'X';
     Tracer rejected = makeTracer(kTraceAll);
     SnapshotReader bad(bytes);
-    EXPECT_THROW(rejected.restoreState(bad), SnapshotError);
+    EXPECT_THROW(rejected.serialize(bad), SnapshotError);
 }
 
 // --------------------------------------------------------------------------
