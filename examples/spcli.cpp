@@ -8,7 +8,7 @@
  *   spcli [--workload LL|HM|GH|SS|AT|BT|RT] [--mode base|log|logp|logpsf]
  *         [--sp] [--strict] [--ssb N] [--checkpoints N] [--banks N]
  *         [--wpq N] [--mcs N] [--ops N] [--init N] [--seed N]
- *         [--evict] [--probe-period N] [--crash-at CYCLE] [--csv]
+ *         [--evict] [--crash-at CYCLE] [--csv]
  *         [--inject-conflicts[=uniform|hotset|trail]]
  *         [--conflict-period=N] [--poisson] [--watchdog[=N]]
  *         [--torn-writes] [--jitter=N] [--max-cycles=N]
@@ -58,7 +58,9 @@
  * Fault injection:
  *   --inject-conflicts  arm the conflict adversary (optionally choosing
  *                       its address policy; default uniform)
- *   --conflict-period   mean cycles between adversary probes
+ *   --conflict-period   mean cycles between adversary probes; alone it
+ *                       arms a uniform adversary that probes every N
+ *                       cycles (replaces --probe-period N)
  *   --poisson           draw probe gaps from an exponential instead of a
  *                       fixed period
  *   --watchdog          arm the forward-progress watchdog (optionally
@@ -133,7 +135,7 @@ usage(const char *msg = nullptr)
         "             [--mode base|log|logp|logpsf] [--sp] [--strict]\n"
         "             [--ssb N] [--checkpoints N] [--banks N] [--wpq N]\n"
         "             [--mcs N] [--ops N] [--init N] [--seed N] [--evict]\n"
-        "             [--probe-period N] [--crash-at CYCLE] [--csv]\n"
+        "             [--crash-at CYCLE] [--csv]\n"
         "             [--inject-conflicts[=uniform|hotset|trail]]\n"
         "             [--conflict-period=N] [--poisson] [--watchdog[=N]]\n"
         "             [--torn-writes] [--jitter=N] [--max-cycles=N]\n"
@@ -146,6 +148,8 @@ usage(const char *msg = nullptr)
         "             [--snapshot=FILE --snapshot-at=CYCLE]\n"
         "             [--resume=FILE] [--sampled[=WINDOWS]]\n"
         "\n"
+        "  --conflict-period=N  probe every N cycles (uniform adversary;\n"
+        "               replaces --probe-period N)\n"
         "  --audit      durability audit of the retired op stream\n"
         "               (missing/late clwb, unordered flushes, redundant\n"
         "               barriers); =FILE writes the JSON report; exit 1\n"
@@ -285,8 +289,6 @@ main(int argc, char **argv)
             cfg.params.seed = parseNum(value().c_str(), "--seed");
         } else if (flag == "--evict") {
             cfg.params.evictOnPersist = true;
-        } else if (flag == "--probe-period") {
-            cfg.probePeriod = parseNum(value().c_str(), "--probe-period");
         } else if (flag == "--crash-at") {
             crash_at = parseNum(value().c_str(), "--crash-at");
         } else if (flag == "--inject-conflicts") {

@@ -91,25 +91,6 @@ OooCore::setTracer(Tracer *tracer)
 }
 
 void
-OooCore::setTraceSink(std::ostream *os)
-{
-    if (!os) {
-        if (ownedTracer_ && tracer_ == ownedTracer_.get())
-            setTracer(nullptr);
-        ownedTracer_.reset();
-        return;
-    }
-    TraceOptions opts;
-    opts.categories = kTraceAll;
-    // The text line is emitted at publish time; no need to also retain
-    // the events in memory.
-    opts.retainEvents = false;
-    ownedTracer_ = std::make_unique<Tracer>(opts);
-    ownedTracer_->setTextSink(os);
-    setTracer(ownedTracer_.get());
-}
-
-void
 OooCore::sampleCounters()
 {
     tracer_->counter(kTraceCounters, TraceName::kRob, now_, rob_.size());
@@ -565,8 +546,8 @@ OooCore::noteSpecStore(const DynOp &op)
     ssb_.push(entry, now_);
     bloom_.insert(op.op.addr);
     blt_.record(op.op.addr);
-    if (injector_)
-        injector_->noteSpecWrite(op.op.addr);
+    if (probes_)
+        probes_->noteSpecWrite(op.op.addr);
     ++stats_.ssbEnqueues;
     stats_.ssbMaxOccupancy =
         std::max<uint64_t>(stats_.ssbMaxOccupancy, ssb_.size());
@@ -1003,54 +984,15 @@ OooCore::abortSpeculation()
 void
 OooCore::processProbes()
 {
-    if (probePeriod_ != 0 && now_ >= nextProbeAt_) {
-        // Cheap deterministic splitmix draw for the probed block.
-        while (now_ >= nextProbeAt_) {
-            uint64_t z = (probeRngState_ += 0x9e3779b97f4a7c15ULL);
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            z ^= z >> 31;
-            Addr addr = probeBase_ +
-                blockAlign(z % probeRange_);
-            if (specMode_ && blt_.probe(addr))
-                abortSpeculation();
-            nextProbeAt_ += probePeriod_;
-        }
-    }
-    while (!probes_.empty() && probes_.begin()->first <= now_) {
-        Addr addr = probes_.begin()->second;
-        probes_.erase(probes_.begin());
+    // Drawing even while non-speculative keeps the probe schedule a pure
+    // function of (seed, time), not of how long each speculative episode
+    // happened to last.
+    while (probes_->nextAt() <= now_) {
+        Addr addr = probes_->drawProbe(now_);
+        ++stats_.conflictProbes;
         if (specMode_ && blt_.probe(addr))
             abortSpeculation();
     }
-    if (injector_) {
-        // Campaign adversary. Drawing even while non-speculative keeps
-        // the probe schedule a pure function of (seed, time), not of
-        // how long each speculative episode happened to last.
-        while (injector_->due(now_)) {
-            Addr addr = injector_->drawProbe(now_);
-            ++stats_.conflictProbes;
-            if (specMode_ && blt_.probe(addr))
-                abortSpeculation();
-        }
-    }
-}
-
-void
-OooCore::enablePeriodicProbes(Tick period, Addr base, uint64_t rangeBytes,
-                              uint64_t seed)
-{
-    probePeriod_ = period;
-    nextProbeAt_ = now_ + period;
-    probeBase_ = blockAlign(base);
-    probeRange_ = rangeBytes ? rangeBytes : kBlockBytes;
-    probeRngState_ = seed;
-}
-
-void
-OooCore::scheduleProbe(Tick atCycle, Addr blockAddr)
-{
-    probes_.emplace(atCycle, blockAlign(blockAddr));
 }
 
 // --------------------------------------------------------------------------
@@ -1120,7 +1062,8 @@ OooCore::stepCycle()
 
     mc_.advanceTo(now_);
     compactPersistState();
-    processProbes();
+    if (probes_)
+        processProbes();
     if (specMode_) {
         epochs_.setPreSpecDrained(preSpecDrained());
         if (epochs_.tick(now_))
@@ -1186,8 +1129,7 @@ OooCore::chainPathOpen() const
     const CoreConfig &core = cfg_.core;
     return cfg_.eventSkip && core.fetchWidth > 0 && core.dispatchWidth > 0 &&
         core.issueWidth > 0 && core.retireWidth > 0 && !tracer_ &&
-        !accountant_ && !auditor_ && !injector_ && probePeriod_ == 0 &&
-        probes_.empty();
+        !accountant_ && !auditor_ && !probes_;
 }
 
 bool
@@ -1216,9 +1158,10 @@ OooCore::stepChainCycle()
 {
     // Each line below is what stepCycle() does in this state; the stages
     // it leaves out provably do nothing here. No probe source is
-    // attached, so processProbes() is idle; the core does not speculate,
-    // so the epoch manager is not ticked and maybeExitSpeculation()
-    // returns at once; the store buffer is empty, so it does not drain.
+    // attached, so processProbes() does not run; the core does not
+    // speculate, so the epoch manager is not ticked and
+    // maybeExitSpeculation() returns at once; the store buffer is empty,
+    // so it does not drain.
     flags_ = CycleFlags{};
     mc_.advanceTo(now_);
     compactPersistState();
@@ -1270,14 +1213,10 @@ OooCore::nextEventTick() const
     }
     if (specMode_)
         consider(epochs_.nextEventTick());
-    if (!probes_.empty())
-        consider(probes_.begin()->first);
-    if (probePeriod_ != 0 && specMode_)
-        consider(nextProbeAt_);
-    // Injector draws must happen on time even while idle (the schedule
-    // is absolute); the backoff expiry unblocks a stalled fence.
-    if (injector_)
-        consider(injector_->nextAt());
+    // Probes must be drawn on time even while idle (the schedule is
+    // absolute); the backoff expiry unblocks a stalled fence.
+    if (probes_)
+        consider(probes_->nextAt());
     if (governor_.backoffUntil() > now_)
         consider(governor_.backoffUntil());
     // The interval sampler must fire at its exact tick even while the
@@ -1318,9 +1257,8 @@ OooCore::skipIdleCycles()
 bool
 OooCore::runUntil(Tick cycleLimit)
 {
-    // Observers and probe sources are attached between calls, and
-    // scheduled probes only drain during one, so once the fast path is
-    // open at entry it stays open for the whole call.
+    // Observers and probe sources are attached between calls, so once
+    // the fast path is open at entry it stays open for the whole call.
     const bool chain_path = chainPathOpen();
     uint64_t idle_streak = 0;
     while (!done()) {
@@ -1410,8 +1348,6 @@ OooCore::serialize(Ar &ar)
                   "StoreBufEntry must stay trivially copyable");
     static_assert(std::is_trivially_copyable<FlushFlight>::value,
                   "FlushFlight must stay trivially copyable");
-    SP_ASSERT(!ownedTracer_,
-              "cannot snapshot or restore with a text-sink tracer attached");
     ar.tag("CORE");
     ar.pod(now_);
 
@@ -1481,30 +1417,8 @@ OooCore::serialize(Ar &ar)
     ar.pod(replayUntil_);
     ar.pod(fenceStallBegin_);
 
-    // Probe schedule (multimap in iteration order; equal-key order is
-    // insertion order and emplace preserves it on restore).
-    uint64_t numProbes = probes_.size();
-    ar.pod(numProbes);
-    if constexpr (Ar::kLoading) {
-        probes_.clear();
-        for (uint64_t i = 0; i < numProbes; ++i) {
-            Tick at = 0;
-            Addr block = 0;
-            ar.pod(at);
-            ar.pod(block);
-            probes_.emplace(at, block);
-        }
-    } else {
-        for (const auto &[at, block] : probes_) {
-            ar.pod(at);
-            ar.pod(block);
-        }
-    }
-    ar.pod(probePeriod_);
-    ar.pod(nextProbeAt_);
-    ar.pod(probeBase_);
-    ar.pod(probeRange_);
-    ar.pod(probeRngState_);
+    // Reserved: keeps the SPSNAP01 core section's layout; always zero.
+    ar.zeros(48);
 
     governor_.serialize(ar);
     ar.pod(hitMaxCycles_);

@@ -33,9 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -96,31 +93,11 @@ class OooCore
     bool speculating() const { return specMode_; }
 
     /**
-     * Schedule an external coherence probe for the given block at the
-     * given cycle; if it hits the BLT while speculating, the core aborts
-     * to the oldest checkpoint.
+     * Attach the source of external coherence probes (may be null = no
+     * probes). A probe that hits the BLT while the core speculates
+     * aborts to the oldest checkpoint. The caller keeps ownership.
      */
-    void scheduleProbe(Tick atCycle, Addr blockAddr);
-
-    /**
-     * Model another core's coherence traffic: every `period` cycles, probe
-     * a uniformly random block in [base, base+rangeBytes). Deterministic
-     * for a given seed. Disabled by period = 0.
-     */
-    void enablePeriodicProbes(Tick period, Addr base, uint64_t rangeBytes,
-                              uint64_t seed);
-
-    /**
-     * Attach an adversarial conflict injector (fault campaigns). The
-     * caller keeps ownership; null detaches. Injected probes behave
-     * exactly like scheduled external coherence probes but are drawn
-     * on-line by the injector's policy (which may track the core's own
-     * speculative writes).
-     */
-    void setConflictInjector(ConflictInjector *injector)
-    {
-        injector_ = injector;
-    }
+    void setProbeSource(ProbeSource *probes) { probes_ = probes; }
 
     /** True if runUntil() stopped because cfg.maxCycles was exceeded. */
     bool hitMaxCycles() const { return hitMaxCycles_; }
@@ -158,16 +135,6 @@ class OooCore
     {
         accountant_ = accountant;
     }
-
-    /**
-     * Stream a human-readable event trace (retirements, speculation
-     * enter/exit/abort, epoch boundaries) to `os`; null disables. Meant
-     * for small traces -- every retired op becomes a line. Implemented
-     * as a text backend on the trace bus: this creates an owned
-     * all-categories Tracer, so it replaces any tracer attached via
-     * setTracer().
-     */
-    void setTraceSink(std::ostream *os);
 
     /** Diagnostics for tests. */
     const SpeculativeStoreBuffer &ssb() const { return ssb_; }
@@ -211,8 +178,8 @@ class OooCore
     /**
      * Snapshot serializer for the core and everything it owns (SSB,
      * checkpoints, Bloom, BLT, epochs, replay window, pipeline queues,
-     * probe schedule, governor). External structures (caches, memory
-     * system, program source) are serialized by their owners; observer
+     * governor). External structures (caches, memory system, program
+     * source, probe source) are serialized by their owners; observer
      * pointers are re-attached before a restore runs, and the interval
      * sampler's next firing tick is recomputed from the attached tracer
      * so a restored run samples at the identical absolute ticks.
@@ -384,8 +351,6 @@ class OooCore
     CycleCat classifyCycle() const;
     /** Ledger condition: a persist barrier is pending this cycle. */
     bool barrierPending() const;
-    /** Backing tracer for the legacy setTraceSink() text interface. */
-    std::unique_ptr<Tracer> ownedTracer_;
     /** Start of the fence-stall interval in progress; kTickNever = none. */
     Tick fenceStallBegin_ = kTickNever;
     /** Next interval-sampler firing tick. */
@@ -394,17 +359,9 @@ class OooCore
     /** Publish one sample on every occupancy counter track. */
     void sampleCounters();
 
-    // --- Probe injection ---------------------------------------------------
-    std::multimap<Tick, Addr> probes_;
-    Tick probePeriod_ = 0;
-    Tick nextProbeAt_ = 0;
-    Addr probeBase_ = 0;
-    uint64_t probeRange_ = 0;
-    uint64_t probeRngState_ = 0;
-
     // --- Fault injection & forward progress --------------------------------
-    /** Campaign-driven conflict adversary (not owned; null = off). */
-    ConflictInjector *injector_ = nullptr;
+    /** External coherence probes (not owned; null = none). */
+    ProbeSource *probes_ = nullptr;
     /** Abort-livelock watchdog (constructed from cfg.fault.watchdog). */
     SpecGovernor governor_;
     /** runUntil() stopped at the cfg.maxCycles safety valve. */
@@ -426,8 +383,7 @@ class OooCore
     uint64_t chainFastCycles_ = 0;
 
     /** The fast path may run at all: the event-skip clock, every stage
-     *  at least one op wide, and no observer, probe source or conflict
-     *  injector attached. */
+     *  at least one op wide, and no observer or probe source attached. */
     bool chainPathOpen() const;
     /**
      * O(1) test, given chainPathOpen(), that the coming cycle is the

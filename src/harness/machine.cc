@@ -66,15 +66,10 @@ Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
         accountant_ = std::make_unique<CycleAccountant>();
         core_->setAccountant(accountant_.get());
     }
-    if (cfg_.probePeriod != 0) {
-        // Target the hot region: workload metadata, the undo log, and the
-        // first stretch of the heap -- where speculative writes live.
-        core_->enablePeriodicProbes(cfg_.probePeriod, kMetaBase,
-                                    kHeapBase + (4u << 20) - kMetaBase,
-                                    cfg_.probeSeed);
-    }
     if (cfg_.sim.fault.conflict.enabled) {
-        // Default footprint: the same hot region periodic probes target.
+        // Default footprint: the hot region -- workload metadata, the
+        // undo log, and the first stretch of the heap -- where
+        // speculative writes live.
         Addr base = cfg_.sim.fault.conflict.footprintBase
             ? cfg_.sim.fault.conflict.footprintBase
             : kMetaBase;
@@ -83,7 +78,7 @@ Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
             : kHeapBase + (4u << 20) - kMetaBase;
         injector_ = std::make_unique<ConflictInjector>(
             cfg_.sim.fault.conflict, base, bytes);
-        core_->setConflictInjector(injector_.get());
+        core_->setProbeSource(injector_.get());
     }
 }
 

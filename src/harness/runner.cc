@@ -129,8 +129,6 @@ describeRunConfig(const RunConfig &cfg)
         os << " crc=1";
     if (cfg.sim.maxCycles)
         os << " maxCycles=" << cfg.sim.maxCycles;
-    if (cfg.probePeriod)
-        os << " probePeriod=" << cfg.probePeriod;
     if (cfg.audit.enabled) {
         os << " audit=1";
         if (cfg.audit.failOnViolation)

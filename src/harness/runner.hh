@@ -30,12 +30,6 @@ struct RunConfig
     WorkloadParams params;
     SimConfig sim;
     /**
-     * Failure injection: probe a random heap block every `probePeriod`
-     * cycles (0 = none), modeling coherence traffic from another core.
-     */
-    Tick probePeriod = 0;
-    uint64_t probeSeed = 99;
-    /**
      * Tracing knobs. categories == 0 (the default) is tracing fully off;
      * nonzero makes the runner attach a per-run Tracer in summary-only
      * mode (retainEvents = false) unless the caller passes its own

@@ -242,7 +242,7 @@ ConflictInjector::interval()
 Addr
 ConflictInjector::drawProbe(Tick now)
 {
-    SP_ASSERT(due(now), "drawProbe called before a probe was due");
+    SP_ASSERT(nextAt_ <= now, "drawProbe called before a probe was due");
     ++injected_;
     nextAt_ += interval();
 
@@ -334,13 +334,11 @@ template <class Ar>
 void
 ConflictInjector::serialize(Ar &ar)
 {
-    // The object holds padding and a double, so it cannot go through
-    // pod whole; it goes field by field in its own layout instead.
+    // The object holds padding, a double and a vtable pointer, so it
+    // cannot go through pod whole; it goes field by field instead.
     static_assert(offsetof(ConflictInjectConfig, period) == 8 &&
                       sizeof(ConflictInjectConfig) == 56 &&
-                      offsetof(ConflictInjector, haveWriter_) == 96 &&
-                      offsetof(ConflictInjector, injected_) == 104 &&
-                      sizeof(ConflictInjector) == 112,
+                      sizeof(ConflictInjector) == 120,
                   "ConflictInjector layout changed: update its serializer");
     ar.pod(cfg_.enabled);
     ar.pod(cfg_.policy);

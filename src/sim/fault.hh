@@ -240,31 +240,52 @@ struct FaultConfig
 };
 
 /**
- * Deterministic conflict adversary. The core asks `due()` each cycle it
- * processes probes, draws the target with `drawProbe()` (which schedules
- * the next firing), and feeds `noteSpecWrite()` so the trailing-the-
- * writer policy always has a fresh target. All draws come from a
- * splitmix-seeded xoshiro state owned by the injector, so a given
- * (config, footprint) pair replays the identical probe schedule on any
- * sweep worker.
+ * Where the core's external coherence probes come from. Each cycle the
+ * core takes every probe due (nextAt() <= now) from drawProbe(); one
+ * that hits the BLT while the core speculates aborts to the oldest
+ * checkpoint. ConflictInjector is the one production source; the
+ * interface lets tests script a probe schedule. nextAt() reads a field
+ * the source keeps current, so the core's per-cycle poll is a load, not
+ * an indirect call.
  */
-class ConflictInjector
+class ProbeSource
+{
+  public:
+    virtual ~ProbeSource() = default;
+
+    /** Earliest tick a probe is pending for; kTickNever when none is. */
+    Tick nextAt() const { return nextAt_; }
+
+    /** Target block of the probe due at `now`; schedules the next one. */
+    virtual Addr drawProbe(Tick now) = 0;
+
+    /** The core's latest speculative store. */
+    virtual void noteSpecWrite(Addr) {}
+
+  protected:
+    ProbeSource() = default;
+    ProbeSource(const ProbeSource &) = default;
+    ProbeSource &operator=(const ProbeSource &) = default;
+
+    Tick nextAt_ = kTickNever;
+};
+
+/**
+ * Deterministic conflict adversary. Probes fire on a fixed or Poisson
+ * schedule at targets its policy draws; noteSpecWrite() keeps the
+ * trailing-the-writer policy's target fresh. All draws come from a
+ * splitmix state owned by the injector, so a given (config, footprint)
+ * pair replays the identical probe schedule on any sweep worker.
+ */
+class ConflictInjector final : public ProbeSource
 {
   public:
     ConflictInjector(const ConflictInjectConfig &cfg, Addr footprintBase,
                      uint64_t footprintBytes);
 
-    /** Earliest tick a probe is pending for. */
-    Tick nextAt() const { return nextAt_; }
+    Addr drawProbe(Tick now) override;
 
-    /** A probe is due at or before `now`. */
-    bool due(Tick now) const { return nextAt_ <= now; }
-
-    /** Target block of the probe due now; schedules the next firing. */
-    Addr drawProbe(Tick now);
-
-    /** Trailing-the-writer hook: the core's latest speculative store. */
-    void noteSpecWrite(Addr addr)
+    void noteSpecWrite(Addr addr) override
     {
         lastWriterBlock_ = blockAlign(addr);
         haveWriter_ = true;
@@ -274,8 +295,8 @@ class ConflictInjector
     uint64_t injected() const { return injected_; }
 
     /**
-     * Snapshot serializer. The section is the object's own byte layout,
-     * with its padding written as zeros.
+     * Snapshot serializer. The section is a fixed record of the fields,
+     * with padding written as zeros.
      */
     template <class Ar> void serialize(Ar &ar);
 
@@ -284,7 +305,6 @@ class ConflictInjector
     Addr base_;
     uint64_t range_;
     uint64_t state_;
-    Tick nextAt_;
     Addr lastWriterBlock_ = 0;
     bool haveWriter_ = false;
     uint64_t injected_ = 0;

@@ -12,7 +12,7 @@ namespace
 
 /**
  * Serializes the stderr sink: runs execute concurrently on the sweep
- * engine (harness/sweep.hh), and a warn from one worker must not
+ * engine (harness/sweep.hh), and a panic from one worker must not
  * interleave mid-line with another's. This mutex is the only shared
  * mutable state in the logging path.
  */
@@ -46,12 +46,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     emit("fatal", file, line, msg);
     std::exit(1);
-}
-
-void
-warnImpl(const char *file, int line, const std::string &msg)
-{
-    emit("warn", file, line, msg);
 }
 
 } // namespace sp

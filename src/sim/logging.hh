@@ -4,19 +4,15 @@
  *
  * panic()  - the simulator itself is broken; aborts.
  * fatal()  - the user asked for something impossible; exits with an error.
- * warn()   - something suspicious happened but the run can continue.
  *
- * Warnings that can fire in per-cycle paths must not flood stderr during
- * long sweeps: SP_WARN_ONCE emits only the first occurrence per call
- * site, SP_WARN_EVERY(n, ...) every n-th occurrence (with the running
- * count). Both are safe under the sweep engine's worker threads.
+ * There is no warning channel: a condition a run survives is counted
+ * in Stats, a TraceSummary or PerfTelemetry, where sweeps can read it,
+ * instead of printed to stderr.
  */
 
 #ifndef SP_SIM_LOGGING_HH
 #define SP_SIM_LOGGING_HH
 
-#include <atomic>
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -30,9 +26,6 @@ namespace sp
 /** Unusable configuration or input: print and exit(1). */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-
-/** Non-fatal diagnostic to stderr. */
-void warnImpl(const char *file, int line, const std::string &msg);
 
 namespace detail
 {
@@ -59,23 +52,6 @@ format(const Args &...args)
     return os.str();
 }
 
-/**
- * Claim the n-th firing of a rate-limited call site. Returns true when
- * this occurrence should be reported (the 1st, n+1-th, 2n+1-th, ...)
- * and increments the site counter either way.
- *
- * @param counter Per-site occurrence counter (static at the call site).
- * @param every Report one occurrence out of this many (>= 1).
- * @param count Out: 1-based occurrence number of this call.
- */
-inline bool
-rateLimitClaim(std::atomic<uint64_t> &counter, uint64_t every,
-               uint64_t &count)
-{
-    count = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    return every <= 1 || (count - 1) % every == 0;
-}
-
 } // namespace detail
 } // namespace sp
 
@@ -84,36 +60,6 @@ rateLimitClaim(std::atomic<uint64_t> &counter, uint64_t every,
 
 #define SP_FATAL(...) \
     ::sp::fatalImpl(__FILE__, __LINE__, ::sp::detail::format(__VA_ARGS__))
-
-#define SP_WARN(...) \
-    ::sp::warnImpl(__FILE__, __LINE__, ::sp::detail::format(__VA_ARGS__))
-
-/** Warn only on the first occurrence at this call site (per process). */
-#define SP_WARN_ONCE(...)                                                 \
-    do {                                                                  \
-        static std::atomic<bool> sp_warned_once_{false};                  \
-        if (!sp_warned_once_.exchange(true, std::memory_order_relaxed)) { \
-            ::sp::warnImpl(__FILE__, __LINE__,                            \
-                           ::sp::detail::format(__VA_ARGS__) +            \
-                               " (further warnings from this site "       \
-                               "suppressed)");                            \
-        }                                                                 \
-    } while (0)
-
-/** Warn on one occurrence out of every `n` at this call site. */
-#define SP_WARN_EVERY(n, ...)                                             \
-    do {                                                                  \
-        static std::atomic<uint64_t> sp_warn_count_{0};                   \
-        uint64_t sp_warn_nth_ = 0;                                        \
-        if (::sp::detail::rateLimitClaim(sp_warn_count_, (n),             \
-                                         sp_warn_nth_)) {                 \
-            ::sp::warnImpl(__FILE__, __LINE__,                            \
-                           ::sp::detail::format(__VA_ARGS__) +            \
-                               ::sp::detail::format(                      \
-                                   " (occurrence ", sp_warn_nth_,         \
-                                   "; reporting 1 in ", (n), ")"));       \
-        }                                                                 \
-    } while (0)
 
 /** Assert a simulator invariant; compiled in all build types. */
 #define SP_ASSERT(cond, ...)                                             \

@@ -101,7 +101,7 @@ struct Stats
     uint64_t spsTriples = 0;
 
     // --- Fault injection & forward progress ---------------------------
-    /** External coherence probes delivered by the conflict injector. */
+    /** External coherence probes delivered by the probe source. */
     uint64_t conflictProbes = 0;
     /** Watchdog backoff windows armed (one per abort while enabled). */
     uint64_t watchdogBackoffs = 0;

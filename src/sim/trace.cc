@@ -192,8 +192,8 @@ Tracer::Tracer(TraceOptions opts) : opts_(opts)
 void
 Tracer::emitText(const TraceEvent &event)
 {
-    // The classic OooCore::setTraceSink line format, kept so the
-    // pipeline_trace example and its tests read the same story.
+    // One line per event, the format the pipeline_trace example prints
+    // and its tests read.
     const char *name = traceName(event.name);
     if (event.name == TraceName::kRetireSpec)
         name = "retire*";
@@ -270,9 +270,6 @@ Tracer::publish(const TraceEvent &event)
         return;
     if (events_.size() >= opts_.maxEvents) {
         ++summary_.dropped;
-        SP_WARN_ONCE("trace event cap (", opts_.maxEvents,
-                     ") reached; further events summarized but not "
-                     "retained for export");
         return;
     }
     events_.push_back(event);

@@ -250,7 +250,7 @@ class Tracer
 
     /**
      * Stream every published event as a human-readable text line to
-     * `os` (the old OooCore::setTraceSink format); null disables.
+     * `os`; null disables.
      */
     void setTextSink(std::ostream *os) { textSink_ = os; }
 

@@ -18,6 +18,7 @@
 #include "isa/program.hh"
 #include "mem/cache_hierarchy.hh"
 #include "mem/mem_system.hh"
+#include "scripted_probes.hh"
 #include "sim/rng.hh"
 
 using namespace sp;
@@ -171,8 +172,10 @@ TEST(SpEquivalence, AbortedRunsStillConverge)
     OooCore core(cfg, prog, caches, mc, stats);
     // Pepper the whole run with probes over the trace's address range:
     // some will hit the BLT mid-speculation and force aborts.
+    ScriptedProbes scripted;
     for (Tick t = 20; t < 20000; t += 61)
-        core.scheduleProbe(t, kBase + (t % kBlocks) * kBlockBytes);
+        scripted.add(t, kBase + (t % kBlocks) * kBlockBytes);
+    core.setProbeSource(&scripted);
     core.run();
     caches.writebackAll();
     mc.drainAll();

@@ -80,8 +80,9 @@ std::vector<Cell>
 bitIdentityGrid()
 {
     std::vector<Cell> cells;
+    // conflictPeriod 0 = no conflict adversary.
     auto add = [&](WorkloadKind kind, PersistMode mode, bool sp,
-                   bool tracing, bool conflicts, Tick crashAt = 0,
+                   bool tracing, Tick conflictPeriod, Tick crashAt = 0,
                    bool chainPath = false) {
         Cell cell;
         cell.cfg.kind = kind;
@@ -92,31 +93,37 @@ bitIdentityGrid()
         cell.cfg.sim.sp.enabled = sp;
         if (tracing)
             cell.cfg.trace.categories = kTraceAll;
-        if (conflicts) {
+        if (conflictPeriod) {
             cell.cfg.sim.fault.conflict.enabled = true;
-            cell.cfg.sim.fault.conflict.period = 2000;
+            cell.cfg.sim.fault.conflict.period = conflictPeriod;
             cell.cfg.sim.fault.conflict.seed = 7;
         }
         cell.crashAtCycle = crashAt;
         cell.chainPath = chainPath;
         cell.name = workloadKindName(kind) + std::string("/") +
             persistModeName(mode) + (sp ? "/sp" : "") +
-            (tracing ? "/trace" : "") + (conflicts ? "/conflict" : "") +
+            (tracing ? "/trace" : "") +
+            (conflictPeriod ? "/conflict" + std::to_string(conflictPeriod)
+                            : "") +
             (crashAt ? "/crash" : "");
         cells.push_back(cell);
     };
 
     for (WorkloadKind kind : allWorkloadKinds()) {
         for (bool tracing : {false, true}) {
-            for (bool conflicts : {false, true})
-                add(kind, PersistMode::kLogPSf, true, tracing, conflicts);
+            for (Tick conflictPeriod : {0, 2000})
+                add(kind, PersistMode::kLogPSf, true, tracing,
+                    conflictPeriod);
         }
     }
     // Non-speculative and barrier-free variants take different stall
     // paths through skipIdleCycles(); cover them on one workload each.
-    add(WorkloadKind::kLinkedList, PersistMode::kLogPSf, false, true,
-        false);
-    add(WorkloadKind::kBTree, PersistMode::kLogP, false, false, false);
+    add(WorkloadKind::kLinkedList, PersistMode::kLogPSf, false, true, 0);
+    add(WorkloadKind::kBTree, PersistMode::kLogP, false, false, 0);
+    // Short-period probes: a draw every 50 cycles, so the skip clock
+    // must stop forty times as often as in the period-2000 cells.
+    for (WorkloadKind kind : {WorkloadKind::kLinkedList, WorkloadKind::kBTree})
+        add(kind, PersistMode::kLogPSf, true, false, 50);
     // The runs the serial-chain fast path speeds up: observers off, no
     // conflicts, no speculation (the fence_sim benchmark's Base and
     // Log+P+Sf cells).
@@ -124,10 +131,10 @@ bitIdentityGrid()
          {WorkloadKind::kGraph, WorkloadKind::kHashMap,
           WorkloadKind::kLinkedList, WorkloadKind::kStringSwap}) {
         for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf})
-            add(kind, mode, false, false, false, 0, true);
+            add(kind, mode, false, false, 0, 0, true);
     }
     // A crashed run's snapshot must also be skip-schedule independent.
-    add(WorkloadKind::kStringSwap, PersistMode::kLogPSf, true, true, true,
+    add(WorkloadKind::kStringSwap, PersistMode::kLogPSf, true, true, 2000,
         5000);
     return cells;
 }

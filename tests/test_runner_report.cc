@@ -87,7 +87,8 @@ TEST(Runner, ProbeInjectionCausesNoDivergence)
     cfg.params.initOps = 150;
     cfg.params.simOps = 15;
     RunResult quiet = runExperiment(cfg);
-    cfg.probePeriod = 50;
+    cfg.sim.fault.conflict.enabled = true;
+    cfg.sim.fault.conflict.period = 50;
     RunResult noisy = runExperiment(cfg);
     // Probes may abort and re-execute, but the persisted outcome and
     // instruction-level results stay identical.

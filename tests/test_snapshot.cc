@@ -833,9 +833,10 @@ payloadGoldenConfigs()
     bt.sim.fault.conflict.period = 2000;
     bt.sim.fault.conflict.seed = 7;
     cfgs.push_back(bt);
-    // LL Log+P+Sf with periodic probes.
+    // LL Log+P+Sf with a uniform, fixed-period conflict adversary.
     RunConfig ll = smallConfig(WorkloadKind::kLinkedList, false);
-    ll.probePeriod = 1500;
+    ll.sim.fault.conflict.enabled = true;
+    ll.sim.fault.conflict.period = 1500;
     cfgs.push_back(ll);
     // HM Base, no observers.
     RunConfig hm = smallConfig(WorkloadKind::kHashMap, false);
@@ -852,12 +853,13 @@ payloadGoldenConfigs()
 }
 
 // Recorded before the snapshot components shared one serialize() body
-// per direction; the payload format must not move by a byte.
+// per direction (the LL row when its cell moved to the conflict
+// adversary); the payload format must not move by a byte.
 const std::vector<PayloadGolden> kPayloadGoldens = {
     {"BT SP256 observed+conflict", 0x0659986c838f641eull,
      0x90e780c34e6cbbc3ull, 0xdb45f36957835e01ull},
-    {"LL Log+P+Sf probes", 0x1583459c38a971f1ull, 0xc074ae60be45030aull,
-     0x1b43f313137abe9dull},
+    {"LL Log+P+Sf conflict", 0x7e4ca24925d7bdd6ull, 0xa2b63775a591f468ull,
+     0x3fdc54b0002ed839ull},
     {"HM Base", 0x1115e59122e60ec0ull, 0xf9743b6d23056fe1ull,
      0xc7579aa355146dc7ull},
     {"AT-inc crc+torn+jitter", 0xe7735686a066c522ull,

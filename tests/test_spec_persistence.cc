@@ -11,6 +11,7 @@
 #include "isa/program.hh"
 #include "mem/cache_hierarchy.hh"
 #include "mem/mem_system.hh"
+#include "scripted_probes.hh"
 
 using namespace sp;
 
@@ -61,8 +62,10 @@ struct Machine
         mc.setStats(&stats);
         caches.setStats(&stats);
         OooCore core(cfg, prog, caches, mc, stats);
+        ScriptedProbes scripted;
         for (auto &[t, a] : probes)
-            core.scheduleProbe(t, a);
+            scripted.add(t, a);
+        core.setProbeSource(&scripted);
         core.run();
         caches.writebackAll();
         mc.drainAll();

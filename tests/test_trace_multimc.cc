@@ -35,12 +35,18 @@ runTraced(bool sp)
     cfg.sp.enabled = sp;
     MemImage durable;
     Stats stats;
+    TraceOptions opts;
+    opts.categories = kTraceAll;
+    // The text line is emitted at publish time; nothing is retained.
+    opts.retainEvents = false;
+    Tracer tracer(opts);
+    std::ostringstream sink;
+    tracer.setTextSink(&sink);
     TraceProgram prog(std::move(ops));
     MemSystem mc(cfg.mem, durable);
     CacheHierarchy caches(cfg, mc);
     OooCore core(cfg, prog, caches, mc, stats);
-    std::ostringstream sink;
-    core.setTraceSink(&sink);
+    core.setTracer(&tracer);
     core.run();
     return sink.str();
 }
