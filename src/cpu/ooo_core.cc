@@ -1161,9 +1161,8 @@ OooCore::stepChainCycle()
     // attached, so processProbes() does not run; the core does not
     // speculate, so the epoch manager is not ticked and
     // maybeExitSpeculation() returns at once; the store buffer is empty,
-    // so it does not drain.
+    // so it does not drain. runChainBatch() advances the controller.
     flags_ = CycleFlags{};
-    mc_.advanceTo(now_);
     compactPersistState();
 
     // Retire the completed chain head (no LSQ entry, no observer). The
@@ -1187,6 +1186,33 @@ OooCore::stepChainCycle()
     fetchStage();
     if (flags_.fetchBlocked)
         ++stats_.fetchQueueStallCycles;
+}
+
+void
+OooCore::runChainBatch(Tick cycleLimit)
+{
+    // A chain cycle issues no memory op, inserts no write and starts no
+    // flush; of the controller it sees only flush completions
+    // (compactPersistState()), which happen at its event ticks. And
+    // MemCtrl::advanceTo() reaches the same state whichever earlier
+    // ticks it was called at. So advancing on the first cycle and then
+    // at each event tick shows every cycle what per-cycle calls would.
+    Tick mc_due = now_;
+    do {
+        if (now_ >= mc_due) {
+            mc_.advanceTo(now_);
+            mc_due = mc_.nextEventTick();
+        }
+        stepChainCycle();
+        ++chainFastCycles_;
+        ++now_;
+        // No done() test: chainCycleApplies() needs two ops in the ROB.
+    } while (now_ < cycleLimit &&
+             !(cfg_.maxCycles && now_ > cfg_.maxCycles) &&
+             chainCycleApplies());
+    // Leave the controller as the last stepped cycle would have, so a
+    // snapshot cut here saves the same bytes.
+    mc_.advanceTo(now_ - 1);
 }
 
 Tick
@@ -1267,30 +1293,33 @@ OooCore::runUntil(Tick cycleLimit)
             return false;
         }
         if (chain_path && chainCycleApplies()) {
-            stepChainCycle();
-            ++chainFastCycles_;
+            // Steps at least one cycle, each of them progress.
+            runChainBatch(cycleLimit);
+            idle_streak = 0;
         } else {
             stepCycle();
-        }
-        if (flags_.progress) {
-            idle_streak = 0;
-            ++now_;
-        } else if (cfg_.eventSkip) {
-            ++idle_streak;
-            SP_ASSERT(idle_streak < 1000,
-                      "no forward progress for 1000 events at cycle ", now_);
-            skipIdleCycles();
-        } else {
-            // Oracle tick loop (FastForwardBitIdentity baseline): one
-            // cycle at a time. The streak here counts idle *cycles*,
-            // which legitimately run to thousands while a flush drains,
-            // so liveness is proven periodically instead of per event.
-            if (++idle_streak % 65536 == 0) {
-                SP_ASSERT(nextEventTick() != kTickNever,
-                          "no future event after ", idle_streak,
-                          " idle cycles at cycle ", now_);
+            if (flags_.progress) {
+                idle_streak = 0;
+                ++now_;
+            } else if (cfg_.eventSkip) {
+                ++idle_streak;
+                SP_ASSERT(idle_streak < 1000,
+                          "no forward progress for 1000 events at cycle ",
+                          now_);
+                skipIdleCycles();
+            } else {
+                // Oracle tick loop (FastForwardBitIdentity baseline): one
+                // cycle at a time. The streak here counts idle *cycles*,
+                // which legitimately run to thousands while a flush
+                // drains, so liveness is proven periodically instead of
+                // per event.
+                if (++idle_streak % 65536 == 0) {
+                    SP_ASSERT(nextEventTick() != kTickNever,
+                              "no future event after ", idle_streak,
+                              " idle cycles at cycle ", now_);
+                }
+                ++now_;
             }
-            ++now_;
         }
         if (cfg_.maxCycles && now_ > cfg_.maxCycles) {
             // Safety valve: report, don't kill the process. The caller

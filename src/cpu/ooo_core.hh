@@ -396,9 +396,17 @@ class OooCore
     /**
      * stepCycle() specialised to that state: retire, issue, dispatch and
      * fetch one op each, skipping the stages that provably do nothing.
-     * Leaves every piece of state exactly as stepCycle() would.
+     * Leaves every piece of state exactly as stepCycle() would, except
+     * that the caller advances the memory controller.
      */
     void stepChainCycle();
+    /**
+     * Run stepChainCycle() while chainCycleApplies() holds, advancing
+     * now_ past each cycle, and stop at `cycleLimit` or the maxCycles
+     * valve. The controller is advanced only at its own event ticks and
+     * on the last cycle. Requires chainCycleApplies() on entry.
+     */
+    void runChainBatch(Tick cycleLimit);
 
     // --- Stages -----------------------------------------------------------
     void stepCycle();

@@ -61,12 +61,24 @@ class MemCtrl
      * Advance the controller's internal timeline to `now`, draining as
      * many WPQ writes as the device completes by then. Must be called
      * with monotonically non-decreasing `now`.
+     *
+     * The result does not depend on which earlier ticks were visited: a
+     * write is dispatched at `max(bank free, readyAt)` and completes at
+     * its `doneAt`, neither of them the tick of the call. So advancing
+     * straight to `now` leaves the same state as advancing through every
+     * tick before it, and a caller that inserts no write and starts no
+     * flush may skip the calls between two nextEventTick() ticks:
+     * flushComplete(), wpqOccupancy() and the durable image answer the
+     * same there either way (tested by
+     * MemSystem.AdvancingOnlyAtEventsMatchesEveryTick).
      */
     void advanceTo(Tick now);
 
     /**
      * Earliest future tick at which controller state changes on its own
-     * (a drain completing or starting); kTickNever when idle.
+     * (a drain completing or starting); kTickNever when idle. Never
+     * later than the next write completion, so a caller that advances
+     * at this tick observes every completion on the tick it happens.
      */
     Tick nextEventTick() const;
 

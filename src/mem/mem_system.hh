@@ -45,10 +45,19 @@ class MemSystem
      */
     void setTracer(Tracer *tracer);
 
-    /** Advance every controller's timeline to `now`. */
+    /**
+     * Advance every controller's timeline to `now`. As for
+     * MemCtrl::advanceTo, the state reached does not depend on which
+     * earlier ticks were visited.
+     */
     void advanceTo(Tick now);
 
-    /** Earliest controller-internal event; kTickNever when all idle. */
+    /**
+     * Earliest controller-internal event; kTickNever when all idle.
+     * Between two such ticks, with no write inserted and no flush
+     * started, calls to advanceTo() change no flush completion, WPQ
+     * occupancy or durable byte.
+     */
     Tick nextEventTick() const;
 
     /** Can the owning controller accept a write for this block? */

@@ -96,7 +96,20 @@ OpEmitter::next(MicroOp &op)
             break;
         }
     }
-    op = queue_.front();
+    MicroOp &front = queue_.front();
+    op = front;
+    if (front.type == OpType::kAluChain) {
+        // A chain run is one record whose `value` counts the elements
+        // still to deliver (a restored queue holds single elements with
+        // `value` 0). Every element after the first depends on the one
+        // before it.
+        op.value = 0;
+        if (front.value > 1) {
+            --front.value;
+            front.dep = 1;
+            return true;
+        }
+    }
     queue_.pop_front();
     return true;
 }
@@ -384,15 +397,16 @@ OpEmitter::aluChain(unsigned count, Handle dep)
     // elements through here.
     if (muted_ || shadow_)
         return kNoDep;
-    // One micro-op per chain element: each occupies a ROB slot, so a
-    // stalled fence can only overlap as much serial work as the reorder
-    // buffer actually holds -- compressing the chain into multi-cycle
-    // entries would let fences hide under impossibly deep lookahead.
-    for (unsigned i = 0; i < count; ++i) {
-        emit(MicroOp::aluChain(1, depDistance(dep)));
-        dep = emitted_;
-    }
-    return dep;
+    // The queue holds the run as one record: the first element with the
+    // run length in its otherwise unused `value`. next() still hands out
+    // one single-cycle element per call, so each keeps its own ROB slot.
+    // No barrier mutation targets a chain element, so the record skips
+    // emit()'s interception.
+    MicroOp &run = queue_.emplace_back();
+    run = MicroOp::aluChain(1, depDistance(dep));
+    run.value = count;
+    emitted_ += count;
+    return emitted_;
 }
 
 void
@@ -471,6 +485,18 @@ OpEmitter::persistBarrier()
     sfence();
 }
 
+namespace
+{
+
+/** Elements a queue entry delivers: a chain run's length, else 1. */
+uint64_t
+chainRunLength(const MicroOp &op)
+{
+    return op.type == OpType::kAluChain && op.value > 1 ? op.value : 1;
+}
+
+} // namespace
+
 template <class Ar>
 void
 OpEmitter::serialize(Ar &ar)
@@ -479,7 +505,26 @@ OpEmitter::serialize(Ar &ar)
               "cannot snapshot inside a shadow or journal pass");
     ar.tag("EMIT");
     ar.pod(muted_);
-    ar.ring(queue_);
+    if constexpr (Ar::kLoading) {
+        ar.ring(queue_);
+    } else {
+        // One entry per element, as next() delivers them, so a chain
+        // run's record saves the same bytes its elements would.
+        uint64_t elements = 0;
+        for (size_t i = 0; i < queue_.size(); ++i)
+            elements += chainRunLength(queue_[i]);
+        ar.pod(elements);
+        for (size_t i = 0; i < queue_.size(); ++i) {
+            MicroOp op = queue_[i];
+            uint64_t n = chainRunLength(op);
+            if (op.type == OpType::kAluChain)
+                op.value = 0;
+            for (uint64_t k = 0; k < n; ++k) {
+                ar.pod(op);
+                op.dep = 1;
+            }
+        }
+    }
     ar.pod(emitted_);
     ar.pod(finished_);
     ar.pod(mutationMatches_);

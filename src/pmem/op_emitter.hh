@@ -164,6 +164,13 @@ class OpEmitter : public Program
      * Serial compute: a chain of `count` dependent single-cycle ops
      * (executes in ~count cycles regardless of issue width).
      *
+     * Each element is still its own micro-op and takes its own ROB
+     * slot, so a stalled fence can only overlap as much serial work as
+     * the reorder buffer holds; compressing the chain into multi-cycle
+     * entries would let fences hide under impossibly deep lookahead.
+     * Only the queue stores the run compactly, as one record that
+     * next() unrolls one element per call.
+     *
      * @return Handle of the chain's last op, so further work -- including
      *         the next operation's chain -- can serialize behind it.
      */
@@ -204,9 +211,6 @@ class OpEmitter : public Program
     /** Direct functional image access (for checkers; no emission). */
     MemImage &image() { return image_; }
     const MemImage &image() const { return image_; }
-
-    /** Ops waiting to be fetched (diagnostics). */
-    size_t queued() const { return queue_.size(); }
 
     // --- Shadow and journal execution -------------------------------------
     /**
@@ -272,6 +276,7 @@ class OpEmitter : public Program
      */
     uint64_t stores() const { return stores_; }
 
+    /** `emitter.queue` counts queue records: a chain run is one. */
     void
     collectPoolStats(std::vector<PoolStat> &out) const override
     {
@@ -281,10 +286,11 @@ class OpEmitter : public Program
     }
 
     /**
-     * Snapshot serializer: pending op queue, stream position, and the
-     * barrier-mutation interception state. The generator callback and
-     * the image reference are rebuilt by the restoring workload; shadow
-     * passes never span a snapshot point (asserted).
+     * Snapshot serializer: pending op queue (one entry per element,
+     * chain runs unrolled), stream position, and the barrier-mutation
+     * interception state. The generator callback and the image
+     * reference are rebuilt by the restoring workload; shadow passes
+     * never span a snapshot point (asserted).
      */
     template <class Ar> void serialize(Ar &ar);
 
@@ -292,6 +298,11 @@ class OpEmitter : public Program
     MemImage &image_;
     PersistMode mode_;
     bool muted_ = false;
+    /**
+     * Ops not yet fetched. A chain run is one kAluChain record whose
+     * `value` holds the elements left to deliver; snapshots save it
+     * unrolled.
+     */
     RingDeque<MicroOp> queue_;
     std::function<bool()> generator_;
     uint64_t emitted_ = 0;

@@ -73,6 +73,8 @@ struct Cell
     std::string name;
     /** The skip run must take the serial-chain fast path. */
     bool chainPath = false;
+    /** Both runs must abort, so the clocks are compared across replays. */
+    bool aborts = false;
 };
 
 /** Workloads x {tracing, conflicts}, small enough for the oracle loop. */
@@ -83,7 +85,8 @@ bitIdentityGrid()
     // conflictPeriod 0 = no conflict adversary.
     auto add = [&](WorkloadKind kind, PersistMode mode, bool sp,
                    bool tracing, Tick conflictPeriod, Tick crashAt = 0,
-                   bool chainPath = false) {
+                   bool chainPath = false,
+                   ConflictPolicy policy = ConflictPolicy::kUniform) {
         Cell cell;
         cell.cfg.kind = kind;
         cell.cfg.params.seed = 42;
@@ -97,14 +100,18 @@ bitIdentityGrid()
             cell.cfg.sim.fault.conflict.enabled = true;
             cell.cfg.sim.fault.conflict.period = conflictPeriod;
             cell.cfg.sim.fault.conflict.seed = 7;
+            cell.cfg.sim.fault.conflict.policy = policy;
         }
         cell.crashAtCycle = crashAt;
         cell.chainPath = chainPath;
+        cell.aborts = policy == ConflictPolicy::kTrailWriter;
         cell.name = workloadKindName(kind) + std::string("/") +
             persistModeName(mode) + (sp ? "/sp" : "") +
             (tracing ? "/trace" : "") +
             (conflictPeriod ? "/conflict" + std::to_string(conflictPeriod)
                             : "") +
+            (cell.aborts ? std::string("/") + conflictPolicyName(policy)
+                         : "") +
             (crashAt ? "/crash" : "");
         cells.push_back(cell);
     };
@@ -124,6 +131,12 @@ bitIdentityGrid()
     // must stop forty times as often as in the period-2000 cells.
     for (WorkloadKind kind : {WorkloadKind::kLinkedList, WorkloadKind::kBTree})
         add(kind, PersistMode::kLogPSf, true, false, 50);
+    // Uniform probes over the whole footprint almost never hit the BLT.
+    // Probes that trail the core's speculative writes abort, so these
+    // cells compare the clocks across aborts and replays.
+    for (WorkloadKind kind : {WorkloadKind::kLinkedList, WorkloadKind::kBTree})
+        add(kind, PersistMode::kLogPSf, true, false, 50, 0, false,
+            ConflictPolicy::kTrailWriter);
     // The runs the serial-chain fast path speeds up: observers off, no
     // conflicts, no speculation (the fence_sim benchmark's Base and
     // Log+P+Sf cells).
@@ -157,6 +170,9 @@ TEST(FastForward, BitIdentity)
         EXPECT_EQ(oracleRun.perf.chainFastCycles, 0u) << cell.name;
         if (cell.chainPath) {
             EXPECT_GT(fastRun.perf.chainFastCycles, 0u) << cell.name;
+        }
+        if (cell.aborts) {
+            EXPECT_GT(oracleRun.stats.aborts, 0u) << cell.name;
         }
 
         EXPECT_EQ(oracle.stats, fast.stats) << cell.name;

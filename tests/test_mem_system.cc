@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "mem/mem_system.hh"
+#include "sim/snapshot.hh"
+#include "sim/stats.hh"
 
 using namespace sp;
 
@@ -31,6 +34,14 @@ void
 fill(uint8_t *data, uint8_t v)
 {
     std::memset(data, v, kBlockBytes);
+}
+
+std::vector<uint8_t>
+stateBytes(MemSystem &sys)
+{
+    SnapshotWriter w;
+    sys.serialize(w);
+    return w.take();
 }
 
 } // namespace
@@ -168,4 +179,87 @@ TEST(MemSystem, MoreControllersDrainFaster)
         return t;
     };
     EXPECT_GT(drain_time(1), drain_time(4));
+}
+
+// The contract OooCore's chain batches rely on (MemCtrl::advanceTo):
+// a system advanced only when a tick reaches its nextEventTick(), and
+// at the ticks that insert a write or start a flush, is in the same
+// state at each of those ticks as one advanced every tick, and answers
+// flushComplete() the same at every tick in between.
+TEST(MemSystem, AdvancingOnlyAtEventsMatchesEveryTick)
+{
+    struct Shape
+    {
+        unsigned ctrls;
+        unsigned banks;
+        unsigned jitter;
+    };
+    for (Shape shape : {Shape{1, 1, 0}, Shape{1, 2, 40}, Shape{2, 2, 40}}) {
+        SCOPED_TRACE(std::to_string(shape.ctrls) + " controllers, " +
+                     std::to_string(shape.banks) + " banks, jitter " +
+                     std::to_string(shape.jitter));
+        MemConfig cfg;
+        cfg.numMemCtrls = shape.ctrls;
+        cfg.nvmmBanks = shape.banks;
+        cfg.nvmmWriteCycles = 300;
+        cfg.wpqEntries = 16;
+        MemImage eagerImage, lazyImage;
+        Stats eagerStats, lazyStats;
+        MemSystem eager(cfg, eagerImage), lazy(cfg, lazyImage);
+        eager.setStats(&eagerStats);
+        lazy.setStats(&lazyStats);
+        eager.setWriteJitter(shape.jitter, 9);
+        lazy.setWriteJitter(shape.jitter, 9);
+
+        // Bursts of writes with flush markers behind them, several
+        // flushes pending at once, and a same-block write that merges.
+        constexpr Tick kEnd = 20000;
+        std::vector<Tick> eagerDone, lazyDone;
+        Tick lazyDue = 0;
+        unsigned writes = 0;
+        for (Tick t = 0; t < kEnd; ++t) {
+            bool acts = t < 4000 && t % 97 == 0;
+            eager.advanceTo(t);
+            if (acts || t >= lazyDue) {
+                lazy.advanceTo(t);
+                ASSERT_EQ(stateBytes(eager), stateBytes(lazy)) << "tick " << t;
+            }
+            if (acts) {
+                uint8_t data[kBlockBytes];
+                fill(data, static_cast<uint8_t>(writes + 1));
+                Addr blk = 0x1000 + ((writes * 3) % 16) * kBlockBytes;
+                unsigned copies = writes % 7 == 3 ? 2 : 1;
+                for (unsigned c = 0; c < copies; ++c) {
+                    eager.insertWrite(blk, data, true);
+                    lazy.insertWrite(blk, data, true);
+                }
+                if (++writes % 5 == 0) {
+                    uint64_t id = eager.startFlush(t);
+                    EXPECT_EQ(lazy.startFlush(t), id);
+                    eagerDone.push_back(kTickNever);
+                    lazyDone.push_back(kTickNever);
+                }
+            }
+            if (acts || t >= lazyDue)
+                lazyDue = lazy.nextEventTick();
+            // Read without advancing, as a chain cycle does.
+            for (uint64_t id = 1; id <= eagerDone.size(); ++id) {
+                if (eagerDone[id - 1] == kTickNever && eager.flushComplete(id))
+                    eagerDone[id - 1] = t;
+                if (lazyDone[id - 1] == kTickNever && lazy.flushComplete(id))
+                    lazyDone[id - 1] = t;
+            }
+        }
+        lazy.advanceTo(kEnd - 1);
+        EXPECT_EQ(stateBytes(eager), stateBytes(lazy));
+        EXPECT_EQ(eager.wpqOccupancy(), 0u) << "script did not drain";
+        ASSERT_FALSE(eagerDone.empty());
+        EXPECT_EQ(eagerDone, lazyDone);
+        EXPECT_NE(eagerDone.back(), kTickNever);
+        EXPECT_GT(eagerStats.nvmmWrites, 0u);
+        EXPECT_EQ(eagerStats.nvmmWrites, lazyStats.nvmmWrites);
+        EXPECT_EQ(eagerStats.wpqCoalesced, lazyStats.wpqCoalesced);
+        EXPECT_GT(eagerStats.wpqCoalesced, 0u);
+        EXPECT_EQ(eagerImage.hash(), lazyImage.hash());
+    }
 }

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "pmem/op_emitter.hh"
+#include "sim/snapshot.hh"
 
 using namespace sp;
 
@@ -137,6 +139,135 @@ TEST(OpEmitter, AluChainReturnsChainableHandle)
     auto ops = drain(em);
     ASSERT_EQ(ops.size(), 3u);
     EXPECT_EQ(ops[2].dep, 1); // chains directly behind the previous chunk
+}
+
+namespace
+{
+
+/** Every byte of every op matches (MicroOp has no padding). */
+void
+expectSameStream(const std::vector<MicroOp> &got,
+                 const std::vector<MicroOp> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(MicroOp)), 0)
+            << "op " << i << ": got " << got[i].toString() << ", want "
+            << want[i].toString();
+    }
+}
+
+/** `n` chain elements as per-element emission produced them. */
+void
+appendChain(std::vector<MicroOp> &ops, unsigned n, uint16_t firstDep)
+{
+    for (unsigned i = 0; i < n; ++i)
+        ops.push_back(MicroOp::aluChain(1, i ? 1 : firstDep));
+}
+
+} // namespace
+
+// A chain run is queued as one record; what next() delivers must be the
+// element stream, with handles that index single elements.
+TEST(OpEmitter, ChainRunDeliversElementStream)
+{
+    MemImage img;
+    OpEmitter em(img, PersistMode::kLogPSf);
+    OpEmitter::Handle h = OpEmitter::kNoDep;
+    em.load(0x1000, 8, OpEmitter::kNoDep, &h);        // op 0
+    OpEmitter::Handle end = em.aluChain(6, h);         // ops 1-6
+    EXPECT_EQ(end, 7u);
+    em.store(0x2000, 0x1234, 8, end);                  // op 7
+    em.load(0x3000, 8, /*mid-chain op 3=*/4);          // op 8
+    em.aluChain(1);                                    // op 9
+    em.aluChain(3, end);                               // ops 10-12
+    EXPECT_EQ(em.emitted(), 13u);
+
+    std::vector<MicroOp> want;
+    want.push_back(MicroOp::load(0x1000, 8));
+    appendChain(want, 6, 1);
+    want.push_back(MicroOp::store(0x2000, 0x1234, 8, 1));
+    want.push_back(MicroOp::load(0x3000, 8, 5));
+    appendChain(want, 1, 0);
+    appendChain(want, 3, 4);
+    expectSameStream(drain(em), want);
+}
+
+// Snapshots keep their per-element layout: a save taken while a run is
+// half delivered writes the elements left, and a restore delivers them.
+TEST(OpEmitter, ChainRunSavesAsElements)
+{
+    MemImage img;
+    OpEmitter em(img, PersistMode::kLogPSf);
+    em.aluChain(10);
+    em.store(0x2000, 7, 8);
+    em.aluChain(2, em.emitted());
+    MicroOp op;
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(em.next(op));
+
+    std::vector<MicroOp> rest;
+    appendChain(rest, 7, 1);
+    rest.push_back(MicroOp::store(0x2000, 7, 8));
+    appendChain(rest, 2, 1);
+    SnapshotWriter want;
+    want.tag("EMIT");
+    want.pod(false);                   // muted
+    want.pod(uint64_t{rest.size()});
+    for (const MicroOp &e : rest)
+        want.pod(e);
+    want.pod(uint64_t{13});            // emitted
+    want.pod(false);                   // finished
+    want.pod(uint64_t{0});             // mutation matches
+    want.pod(false);                   // mutation done
+    want.pod(false);                   // mutation holding
+    want.pod(MicroOp{});               // held op
+    want.pod(0u);                      // pcommits passed
+    SnapshotWriter got;
+    em.serialize(got);
+    EXPECT_TRUE(got.bytes() == want.bytes());
+
+    MemImage img2;
+    OpEmitter restored(img2, PersistMode::kLogPSf);
+    SnapshotReader r(got.bytes());
+    restored.serialize(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(restored.emitted(), 13u);
+    expectSameStream(drain(restored), rest);
+    expectSameStream(drain(em), rest);
+}
+
+// A delayed barrier's held window passes chain runs through untouched:
+// the stream is the one per-element emission produced.
+TEST(OpEmitter, DelayedBarrierSpanningChainRun)
+{
+    MemImage img;
+    OpEmitter em(img, PersistMode::kLogPSf);
+    BarrierMutation m;
+    m.kind = BarrierMutation::Kind::kDelay;
+    m.target = BarrierMutation::Target::kClwb;
+    m.delayBarriers = 1;
+    em.setMutation(m);
+    em.clwb(0x1000);                                   // held
+    OpEmitter::Handle h = em.aluChain(4);
+    em.sfence();
+    em.aluChain(3, h);
+    em.pcommit();
+    em.aluChain(2);
+    em.sfence();                                       // releases the clwb
+    em.aluChain(2);
+
+    std::vector<MicroOp> want;
+    appendChain(want, 4, 0);
+    want.push_back(MicroOp::sfence());
+    appendChain(want, 3, 2);
+    want.push_back(MicroOp::pcommit());
+    appendChain(want, 2, 0);
+    want.push_back(MicroOp::sfence());
+    want.push_back(MicroOp::clwb(0x1000));
+    appendChain(want, 2, 0);
+    expectSameStream(drain(em), want);
+    EXPECT_EQ(em.emitted(), want.size());
 }
 
 TEST(OpEmitter, MemcpyEmitsPairedOps)

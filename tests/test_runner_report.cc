@@ -89,12 +89,16 @@ TEST(Runner, ProbeInjectionCausesNoDivergence)
     RunResult quiet = runExperiment(cfg);
     cfg.sim.fault.conflict.enabled = true;
     cfg.sim.fault.conflict.period = 50;
+    // Probes that trail the core's speculative writes hit the BLT;
+    // uniform ones over the whole footprint almost never do.
+    cfg.sim.fault.conflict.policy = ConflictPolicy::kTrailWriter;
     RunResult noisy = runExperiment(cfg);
-    // Probes may abort and re-execute, but the persisted outcome and
+    // Probes abort and re-execute, but the persisted outcome and
     // instruction-level results stay identical.
     auto w = makeWorkload(cfg.kind, cfg.params);
     EXPECT_EQ(w->contents(quiet.durable), w->contents(noisy.durable));
     EXPECT_GE(noisy.stats.cycles, quiet.stats.cycles);
+    EXPECT_GT(noisy.stats.aborts, 0u);
 }
 
 TEST(Runner, ShutdownWpqOverfillIsTelemetryNotAWarning)

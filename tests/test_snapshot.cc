@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -324,6 +325,51 @@ TEST(Snapshot, RejectsObserverMismatch)
     EXPECT_THROW(resumed.restoreSnapshot(snap), std::exception);
 }
 
+namespace
+{
+
+/**
+ * Writes in the first controller's WPQ not yet on the device, read from
+ * a machine payload: the controller section opens with that count.
+ */
+uint64_t
+queuedWrites(const std::vector<uint8_t> &payload)
+{
+    static const char kTag[] = "MCTL";
+    auto at = std::search(payload.begin(), payload.end(), kTag, kTag + 4);
+    if (at == payload.end() || payload.end() - at < 12)
+        return 0;
+    uint64_t n = 0;
+    std::memcpy(&n, &*(at + 4), sizeof n);
+    return n;
+}
+
+std::vector<uint8_t>
+machineBytes(Machine &m)
+{
+    SnapshotWriter w;
+    m.serialize(w);
+    return w.take();
+}
+
+/**
+ * Restore a probe from `cut` (taken at `at`), run it `cycles` cycles and
+ * count its fast cycles: all of them exactly when the serial-chain
+ * steady state holds that long.
+ */
+uint64_t
+fastCycles(const RunConfig &cfg, const std::vector<uint8_t> &cut, Tick at,
+           Tick cycles)
+{
+    Machine probe(cfg, nullptr, /*deferSetup=*/true);
+    SnapshotReader r(cut);
+    probe.serialize(r);
+    probe.runUntil(at + cycles);
+    return probe.finish().perf.chainFastCycles;
+}
+
+} // namespace
+
 // A cut inside the serial-chain steady state (OooCore::stepChainCycle):
 // the coming cycle takes the fast path, so the snapshot holds fetch-queue
 // slots built in place and a wake heap only that path has touched. The
@@ -331,11 +377,6 @@ TEST(Snapshot, RejectsObserverMismatch)
 // the restore must reproduce the cut byte for byte.
 TEST(Snapshot, CutInsideChainFastPath)
 {
-    auto saveBytes = [](Machine &m) {
-        SnapshotWriter w;
-        m.serialize(w);
-        return w.take();
-    };
     for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf}) {
         RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, false);
         cfg.params.mode = mode;
@@ -343,22 +384,13 @@ TEST(Snapshot, CutInsideChainFastPath)
         RunResult serial = runExperiment(cfg);
         ASSERT_GT(serial.perf.chainFastCycles, 0u);
 
-        // Step a probe restored from the cut by one cycle: it counts a
-        // fast cycle exactly when the cut is in the steady state.
-        auto fastAt = [&](const std::vector<uint8_t> &cut, Tick at) {
-            Machine probe(cfg, nullptr, /*deferSetup=*/true);
-            SnapshotReader r(cut);
-            probe.serialize(r);
-            probe.runUntil(at + 1);
-            return probe.finish().perf.chainFastCycles == 1;
-        };
         Machine producer(cfg);
         std::vector<uint8_t> cut;
         for (Tick at = serial.stats.cycles / 2; cut.empty(); at += 97) {
             ASSERT_LT(at, serial.stats.cycles) << "no steady-state cut";
             producer.runUntil(at);
-            std::vector<uint8_t> bytes = saveBytes(producer);
-            if (fastAt(bytes, producer.now()))
+            std::vector<uint8_t> bytes = machineBytes(producer);
+            if (fastCycles(cfg, bytes, producer.now(), 1) == 1)
                 cut = std::move(bytes);
         }
 
@@ -366,13 +398,57 @@ TEST(Snapshot, CutInsideChainFastPath)
         SnapshotReader r(cut);
         resumed.serialize(r);
         EXPECT_TRUE(r.exhausted());
-        EXPECT_TRUE(saveBytes(resumed) == cut)
+        EXPECT_TRUE(machineBytes(resumed) == cut)
             << "save after restore differs from the cut";
         resumed.runUntil(kTickNever);
         RunResult result = resumed.finish();
         EXPECT_EQ(fingerprint(result), fingerprint(serial));
         EXPECT_GT(result.perf.chainFastCycles, 0u);
     }
+
+    // A limit inside a chain batch, with a write still queued in the
+    // WPQ. A batch advances the controller only at its event ticks, so
+    // it must stop at the limit and leave the controller where per-cycle
+    // stepping does: the cut equals the oracle clock's. Log+P: with
+    // sfences the WPQ has drained before every chain run.
+    RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, false);
+    cfg.params.mode = PersistMode::kLogP;
+    RunResult serial = runExperiment(cfg);
+    constexpr Tick kSpan = 64;
+    Machine batched(cfg);
+    std::vector<uint8_t> prev, cut;
+    Tick at = serial.stats.cycles / 4;
+    for (; cut.empty(); at += kSpan) {
+        ASSERT_LT(at, serial.stats.cycles) << "no cut inside a batch";
+        batched.runUntil(at);
+        std::vector<uint8_t> bytes;
+        if (batched.now() == at)
+            bytes = machineBytes(batched);
+        // All kSpan cycles before the limit were chain cycles, so one
+        // batch ran them and stopped at the limit.
+        if (!prev.empty() && fastCycles(cfg, prev, at - kSpan, kSpan) ==
+                                 kSpan) {
+            ASSERT_EQ(batched.now(), at) << "batch overshot its limit";
+            if (queuedWrites(bytes) > 0)
+                cut = bytes;
+        }
+        prev = std::move(bytes);
+    }
+    at -= kSpan;
+    RunConfig oracleCfg = cfg;
+    oracleCfg.sim.eventSkip = false;
+    Machine oracle(oracleCfg);
+    oracle.runUntil(at);
+    ASSERT_EQ(oracle.now(), at);
+    EXPECT_TRUE(machineBytes(oracle) == cut)
+        << "cut inside a batch differs from the oracle clock's at " << at;
+
+    Machine resumed(cfg, nullptr, /*deferSetup=*/true);
+    SnapshotReader r(cut);
+    resumed.serialize(r);
+    EXPECT_TRUE(r.exhausted());
+    resumed.runUntil(kTickNever);
+    EXPECT_EQ(fingerprint(resumed.finish()), fingerprint(serial));
 }
 
 TEST(Snapshot, UntracedSnapshotRestoresIntoTracedMachine)
@@ -402,14 +478,6 @@ TEST(Snapshot, UntracedSnapshotRestoresIntoTracedMachine)
 
 namespace
 {
-
-std::vector<uint8_t>
-machineBytes(Machine &m)
-{
-    SnapshotWriter w;
-    m.serialize(w);
-    return w.take();
-}
 
 /** Advance to the next quiescent cut at or after `target` (or done). */
 void
