@@ -177,8 +177,7 @@ OooCore::compactPersistState()
     // Only entries whose every future observable effect is already spent
     // are dropped, so fences, speculation triggers, and nextEventTick()
     // behave bit-identically.
-    constexpr size_t kThreshold = 64;
-    if (persistAcks_.size() >= kThreshold) {
+    if (persistAcks_.size() >= kCompactAt) {
         // Delivered acks (<= now_) satisfy persistAcksDone() forever and
         // never become an event again.
         persistAcks_.erase(
@@ -186,7 +185,7 @@ OooCore::compactPersistState()
                            [this](Tick t) { return t <= now_; }),
             persistAcks_.end());
     }
-    if (flushes_.size() >= kThreshold) {
+    if (flushes_.size() >= kCompactAt) {
         // Acked flights with a delivered ack are fully resolved. Flights
         // whose flush completed but whose ack is still unobserved all
         // behave identically from here on -- the next updateFlushAcks()
@@ -515,7 +514,8 @@ OooCore::releaseRetired(uint64_t nextCursor)
     uint64_t target = nextCursor;
     if (specMode_)
         target = std::min(target, epochs_.oldestCursor());
-    if (target > releasedCursor_ && (target - releasedCursor_) >= 4096) {
+    if (target > releasedCursor_ &&
+        (target - releasedCursor_) >= kReleaseStride) {
         program_.release(target);
         releasedCursor_ = target;
     }
@@ -1061,7 +1061,8 @@ OooCore::stepCycle()
     flags_ = CycleFlags{};
 
     mc_.advanceTo(now_);
-    compactPersistState();
+    if (compactionDue())
+        compactPersistState();
     if (probes_)
         processProbes();
     if (specMode_) {
@@ -1163,7 +1164,8 @@ OooCore::stepChainCycle()
     // maybeExitSpeculation() returns at once; the store buffer is empty,
     // so it does not drain. runChainBatch() advances the controller.
     flags_ = CycleFlags{};
-    compactPersistState();
+    if (compactionDue())
+        compactPersistState();
 
     // Retire the completed chain head (no LSQ entry, no observer). The
     // new head has not issued, so retirement stops after one op.
@@ -1188,6 +1190,142 @@ OooCore::stepChainCycle()
         ++stats_.fetchQueueStallCycles;
 }
 
+uint64_t
+OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
+{
+    retryAt = now_ + 1;
+    const size_t rob = rob_.size();
+    const size_t fetch = fetchQ_.size();
+    if (pendingWakes_.at.size() != 1 || compactionDue() || pendingAlu_ != 0 ||
+        rob < 3 || rob + fetch >= kRingSize)
+        return 0;
+    uint64_t ahead = program_.chainRunAhead();
+    if (ahead == 0)
+        return 0;
+    // The youngest op that is not a plain chain element bounds how soon
+    // a jump can start: it must first reach the ROB head.
+    auto plain = [](const DynOp &d) {
+        return d.op.type == OpType::kAluChain && d.op.dep == 1 &&
+            d.op.repeat == 1;
+    };
+    for (size_t i = fetch; i-- > 0;) {
+        if (!plain(fetchQ_[i])) {
+            retryAt = now_ + rob + i;
+            return 0;
+        }
+    }
+    for (size_t i = rob; --i > 0;) {
+        if (!plain(rob_[i])) {
+            retryAt = now_ + i;
+            return 0;
+        }
+    }
+    // Each cycle fetches one op into a ring slot (cursor modulo
+    // kRingSize); no slot an op in flight holds may be reused.
+    uint64_t k = std::min<uint64_t>(ahead, cycleLimit - now_);
+    k = std::min<uint64_t>(k, kRingSize - rob - fetch);
+    if (cfg_.maxCycles)
+        k = std::min<uint64_t>(k, cfg_.maxCycles + 1 - now_);
+    return k;
+}
+
+void
+OooCore::jumpChain(uint64_t k)
+{
+    // Number the ops by stream position: the ROB head is 0, the ROB
+    // holds 0..R-1, the fetch queue R..R+F-1, and cycle i fetches R+F+i.
+    // Only an abort rewinds the program, and it empties both queues, so
+    // position p has seq s0 + p and nextCursor c0 + p. Cycle i (at
+    // t0 + i) retires p = i, issues p = i + 1 (ready at t0 + i + 1),
+    // dispatches p = R + i, which parks on its producer R + i - 1, and
+    // fetches p = R + F + i. With R >= 3, each producer parks its
+    // consumer before it issues.
+    const Tick t0 = now_;
+    const uint64_t rob = rob_.size();
+    const uint64_t fetch = fetchQ_.size();
+    const uint64_t s0 = rob_.front().seq;
+    const uint64_t c0 = rob_.front().nextCursor;
+    // The head may come from any chain record; the rest are single ops.
+    const uint64_t retired = rob_.front().op.instructionCount() + k - 1;
+    SP_ASSERT(nextSeq_ == s0 + rob + fetch &&
+                  program_.cursor() == c0 + rob + fetch - 1,
+              "chain window is not contiguous at seq ", s0);
+    auto slot = [c0](uint64_t p) {
+        return static_cast<size_t>((c0 + p - 1) % kRingSize);
+    };
+
+    // Program side. Retiring position i releases the window when its
+    // cursor reaches the next release point; the window sees that
+    // cycle's release before its fetch, as it would per cycle.
+    uint64_t fetched = 0;
+    while (true) {
+        uint64_t due = std::max(releasedCursor_ + kReleaseStride, c0);
+        if (due - c0 >= k)
+            break;
+        if (due - c0 > fetched) {
+            program_.takeChainRun(due - c0 - fetched);
+            fetched = due - c0;
+        }
+        program_.release(due);
+        releasedCursor_ = due;
+    }
+    const MicroOp element = program_.takeChainRun(k - fetched);
+    auto fresh = [&](DynOp &d, uint64_t p) {
+        d = DynOp{};
+        d.op = element;
+        d.seq = s0 + p;
+        d.nextCursor = c0 + p;
+    };
+
+    // The ROB ends as positions k..k+R-1. Each op dispatched in the
+    // span took its wait-chain link from its producer's slot, which no
+    // earlier cycle of the span had written.
+    rob_.popFront(std::min(k, rob));
+    for (uint64_t p = std::max(k, rob); p < k + rob; ++p) {
+        DynOp &d = rob_.emplace_back();
+        if (p < rob + fetch)
+            d = fetchQ_[p - rob];
+        else
+            fresh(d, p);
+        d.waitNext = waitHead_[slot(p - 1)];
+    }
+    rob_.front().issued = true;
+    rob_.front().readyAt = t0 + k;
+
+    // The fetch queue ends as positions k+R..k+R+F-1.
+    fetchQ_.popFront(std::min(k, fetch));
+    for (uint64_t p = std::max(k + rob, rob + fetch); p < k + rob + fetch;
+         ++p)
+        fresh(fetchQ_.emplace_back(), p);
+
+    // Ring slots: issued ops hold their completion tick and an emptied
+    // wait chain; dispatched, unissued ops hold kTickNever and park
+    // their consumer.
+    for (uint64_t p = 1; p <= k; ++p) {
+        doneAt_[slot(p)] = t0 + p;
+        waitHead_[slot(p)] = 0;
+    }
+    for (uint64_t p = std::max(rob, k + 1); p < rob + k; ++p)
+        doneAt_[slot(p)] = kTickNever;
+    for (uint64_t p = std::max(rob - 1, k + 1); p + 1 < rob + k; ++p)
+        waitHead_[slot(p)] = s0 + p + 1;
+    pendingWakes_.at[0] = t0 + k;
+    pendingWakes_.seq[0] = s0 + k + 1;
+
+    // Every cycle retired one op and set progress; with a second fetch
+    // slot, fetch then found the queue full.
+    flags_ = CycleFlags{};
+    flags_.progress = true;
+    flags_.fetchBlocked = cfg_.core.fetchWidth > 1;
+    stats_.instructions += retired;
+    if (flags_.fetchBlocked)
+        stats_.fetchQueueStallCycles += k;
+    nextSeq_ += k;
+    chainFastCycles_ += k;
+    chainJumpCycles_ += k;
+    now_ += k;
+}
+
 void
 OooCore::runChainBatch(Tick cycleLimit)
 {
@@ -1195,10 +1333,19 @@ OooCore::runChainBatch(Tick cycleLimit)
     // flush; of the controller it sees only flush completions
     // (compactPersistState()), which happen at its event ticks. And
     // MemCtrl::advanceTo() reaches the same state whichever earlier
-    // ticks it was called at. So advancing on the first cycle and then
-    // at each event tick shows every cycle what per-cycle calls would.
+    // ticks it was called at. So advancing on the first stepped cycle
+    // and then at each event tick shows every cycle what per-cycle
+    // calls would; a jump runs no compaction, so it needs no advance.
     Tick mc_due = now_;
+    Tick jump_at = now_;
     do {
+        if (now_ >= jump_at) {
+            uint64_t k = chainJumpSpan(cycleLimit, jump_at);
+            if (k > 0) {
+                jumpChain(k);
+                continue;
+            }
+        }
         if (now_ >= mc_due) {
             mc_.advanceTo(now_);
             mc_due = mc_.nextEventTick();
@@ -1210,8 +1357,8 @@ OooCore::runChainBatch(Tick cycleLimit)
     } while (now_ < cycleLimit &&
              !(cfg_.maxCycles && now_ > cfg_.maxCycles) &&
              chainCycleApplies());
-    // Leave the controller as the last stepped cycle would have, so a
-    // snapshot cut here saves the same bytes.
+    // Leave the controller as the last cycle would have, so a snapshot
+    // cut here saves the same bytes.
     mc_.advanceTo(now_ - 1);
 }
 

@@ -160,6 +160,12 @@ class OooCore
     uint64_t chainFastCycles() const { return chainFastCycles_; }
 
     /**
+     * The part of chainFastCycles() that chain jumps (jumpChain())
+     * covered instead of stepping. Host telemetry like it.
+     */
+    uint64_t chainJumpCycles() const { return chainJumpCycles_; }
+
+    /**
      * Capacity/high-water of every pooled structure the core owns or
      * drives (ROB, queues, SSB, epoch pools, program window, WPQ),
      * appended to `out`. Cheap: reads counters the pools keep anyway.
@@ -322,6 +328,8 @@ class OooCore
     bool postAbortDrain_ = false;
 
     uint64_t releasedCursor_ = 0;
+    /** Retirement releases the replay window in steps of this many ops. */
+    static constexpr uint64_t kReleaseStride = 4096;
 
     // --- Tracing ----------------------------------------------------------
     /** Event bus; null = tracing off (the bit-identical fast path). */
@@ -381,6 +389,7 @@ class OooCore
 
     // --- Serial-chain steady state ------------------------------------------
     uint64_t chainFastCycles_ = 0;
+    uint64_t chainJumpCycles_ = 0;
 
     /** The fast path may run at all: the event-skip clock, every stage
      *  at least one op wide, and no observer or probe source attached. */
@@ -404,9 +413,28 @@ class OooCore
      * Run stepChainCycle() while chainCycleApplies() holds, advancing
      * now_ past each cycle, and stop at `cycleLimit` or the maxCycles
      * valve. The controller is advanced only at its own event ticks and
-     * on the last cycle. Requires chainCycleApplies() on entry.
+     * on the last cycle. Requires chainCycleApplies() on entry. Spans
+     * that chainJumpSpan() admits are taken by jumpChain() instead.
      */
     void runChainBatch(Tick cycleLimit);
+    /**
+     * Cycles the coming chain cycles can be jumped in one step, given
+     * chainCycleApplies(): 0 unless the wake heap holds only the due
+     * wake, no compaction is due, no ALU group is being expanded, and
+     * every op behind the ROB head is a plain chain element (single
+     * cycle, `dep = 1`). Then the program's chain run ahead, capped at
+     * `cycleLimit`, the maxCycles valve and the ring slots no op in
+     * flight holds. When it returns 0, `retryAt` is the first tick at
+     * which it could return more.
+     */
+    uint64_t chainJumpSpan(Tick cycleLimit, Tick &retryAt) const;
+    /**
+     * Leave the core and the program as `k` stepChainCycle() calls
+     * would, writing only the queue entries, ring slots and window
+     * entries those cycles leave changed. Requires
+     * 0 < k <= chainJumpSpan(). The caller advances the controller.
+     */
+    void jumpChain(uint64_t k);
 
     // --- Stages -----------------------------------------------------------
     void stepCycle();
@@ -437,7 +465,21 @@ class OooCore
     // --- Conditions ---------------------------------------------------------
     bool storeBufferEmpty() const;
     bool persistAcksDone() const;
+    /**
+     * Drop persist bookkeeping whose every future effect is spent. It
+     * does nothing unless persistAcks_ or flushes_ holds kCompactAt
+     * entries, so callers test compactionDue() inline and skip the
+     * call. A chain cycle adds to neither list, so below the bound a
+     * chain jump can skip compaction for its whole span.
+     */
     void compactPersistState();
+    static constexpr size_t kCompactAt = 64;
+    bool
+    compactionDue() const
+    {
+        return persistAcks_.size() >= kCompactAt ||
+            flushes_.size() >= kCompactAt;
+    }
     void updateFlushAcks();
     bool flushesAcked() const;
     bool anyFlushOutstanding() const;

@@ -265,6 +265,7 @@ Machine::finish(Tick crashAtCycle)
         result.audit = auditor_->finalize();
     core_->collectPoolStats(result.perf.pools);
     result.perf.chainFastCycles = core_->chainFastCycles();
+    result.perf.chainJumpCycles = core_->chainJumpCycles();
     result.perf.volatileTransHits = workload_->image().translationHits();
     result.perf.volatileTransMisses = workload_->image().translationMisses();
     // Translation counters are not moved with the image contents: read

@@ -116,6 +116,9 @@ struct PerfTelemetry
      * fingerprint: it says how the host simulated, not what.
      */
     uint64_t chainFastCycles = 0;
+    /** The part of chainFastCycles that chain jumps covered without
+     *  stepping (OooCore::chainJumpCycles); outside every fingerprint. */
+    uint64_t chainJumpCycles = 0;
 
     /** Human-readable table (spcli --cycle-account, bench reports). */
     void print(std::ostream &os, const std::string &prefix = "") const;

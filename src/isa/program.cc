@@ -8,6 +8,12 @@
 namespace sp
 {
 
+MicroOp
+Program::takeChainRun(uint64_t n)
+{
+    SP_PANIC("takeChainRun(", n, ") on a program that keeps no chain runs");
+}
+
 TraceProgram::TraceProgram(std::vector<MicroOp> ops) : ops_(std::move(ops))
 {
 }
@@ -38,6 +44,15 @@ ReplayableProgram::next(MicroOp &op)
     window_.push_back(op);
     ++offset_;
     return true;
+}
+
+MicroOp
+ReplayableProgram::takeChainRun(uint64_t n)
+{
+    MicroOp op = inner_.takeChainRun(n);
+    window_.append(static_cast<size_t>(n), op);
+    offset_ += static_cast<size_t>(n);
+    return op;
 }
 
 void

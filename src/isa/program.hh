@@ -36,6 +36,22 @@ class Program
      */
     virtual bool next(MicroOp &op) = 0;
 
+    /**
+     * Length of the serial-chain run next() is in the middle of: how many
+     * of the coming next() calls would each deliver the same single-cycle
+     * `kAluChain` element with `dep = 1`, without producing more ops.
+     * A source that keeps no such runs says 0.
+     */
+    virtual uint64_t chainRunAhead() const { return 0; }
+
+    /**
+     * Deliver `n` elements of that run at once, leaving the source as `n`
+     * next() calls would. Requires n <= chainRunAhead().
+     *
+     * @return The element every one of the `n` calls would have given.
+     */
+    virtual MicroOp takeChainRun(uint64_t n);
+
     /** Append capacity/high-water stats of any internal pools. */
     virtual void collectPoolStats(std::vector<PoolStat> &) const {}
 };
@@ -72,6 +88,21 @@ class ReplayableProgram : public Program
     explicit ReplayableProgram(Program &inner);
 
     bool next(MicroOp &op) override;
+
+    /** The inner program's run, while no replay is pending; else 0. */
+    uint64_t
+    chainRunAhead() const override
+    {
+        return offset_ == window_.size() ? inner_.chainRunAhead() : 0;
+    }
+
+    /**
+     * Take `n` run elements from the inner program and append them to
+     * the window in one go. A caller that retires ops meanwhile splits
+     * the take at its release() points, so the window grows and shrinks
+     * in the same order as under one next() per element.
+     */
+    MicroOp takeChainRun(uint64_t n) override;
 
     /** Stream position of the next op next() will deliver. */
     Cursor cursor() const { return base_ + offset_; }

@@ -34,9 +34,19 @@ MemCtrl::advanceTo(Tick now)
 {
     lastNow_ = std::max(lastNow_, now);
     for (;;) {
+        // The next dispatch: the queued head, once its bank is free.
+        Tick start = kTickNever;
+        if (!wpq_.empty()) {
+            const WpqEntry &head = wpq_.front();
+            start = std::max(bankFreeAt_[bankOf(head.addr)], head.readyAt);
+        }
         // Complete finished writes; in-order dispatch of equal-duration
-        // writes keeps doneAt monotone, so the head finishes first.
-        if (!inflight_.empty() && inflight_.front().doneAt <= now) {
+        // writes keeps doneAt monotone, so the head finishes first. A
+        // write that finishes after the next dispatch starts waits for
+        // it, as it would if every tick were visited: that dispatch
+        // still sees it in flight.
+        if (!inflight_.empty() && inflight_.front().doneAt <= now &&
+            (start > now || inflight_.front().doneAt <= start)) {
             InFlight &head = inflight_.front();
             durable_.writeBlock(head.addr, head.data);
             drainedSeq_ = head.seq;
@@ -47,30 +57,25 @@ MemCtrl::advanceTo(Tick now)
             updateFlushes(done);
             continue;
         }
-        // Dispatch the next queued write if its bank is free by now.
-        if (!wpq_.empty()) {
+        if (start <= now) {
             WpqEntry &head = wpq_.front();
             unsigned bank = bankOf(head.addr);
-            Tick start = std::max(bankFreeAt_[bank], head.readyAt);
-            if (start <= now) {
-                InFlight fl;
-                fl.addr = head.addr;
-                fl.seq = head.seq;
-                Tick lat = cfg_.nvmmWriteCycles;
-                if (jitterMax_ > 0)
-                    lat += jitterRng_.nextBounded(jitterMax_ + 1);
-                fl.doneAt = start + lat;
-                std::memcpy(fl.data, head.data, kBlockBytes);
-                bankFreeAt_[bank] = fl.doneAt;
-                // Keep completion order equal to seq order even when a
-                // later bank would finish sooner.
-                if (!inflight_.empty())
-                    fl.doneAt = std::max(fl.doneAt,
-                                         inflight_.back().doneAt);
-                inflight_.push_back(fl);
-                wpq_.pop_front();
-                continue;
-            }
+            InFlight fl;
+            fl.addr = head.addr;
+            fl.seq = head.seq;
+            Tick lat = cfg_.nvmmWriteCycles;
+            if (jitterMax_ > 0)
+                lat += jitterRng_.nextBounded(jitterMax_ + 1);
+            fl.doneAt = start + lat;
+            std::memcpy(fl.data, head.data, kBlockBytes);
+            bankFreeAt_[bank] = fl.doneAt;
+            // Keep completion order equal to seq order even when a
+            // later bank would finish sooner.
+            if (!inflight_.empty())
+                fl.doneAt = std::max(fl.doneAt, inflight_.back().doneAt);
+            inflight_.push_back(fl);
+            wpq_.pop_front();
+            continue;
         }
         break;
     }

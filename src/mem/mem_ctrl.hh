@@ -64,13 +64,14 @@ class MemCtrl
      *
      * The result does not depend on which earlier ticks were visited: a
      * write is dispatched at `max(bank free, readyAt)` and completes at
-     * its `doneAt`, neither of them the tick of the call. So advancing
-     * straight to `now` leaves the same state as advancing through every
-     * tick before it, and a caller that inserts no write and starts no
-     * flush may skip the calls between two nextEventTick() ticks:
-     * flushComplete(), wpqOccupancy() and the durable image answer the
-     * same there either way (tested by
-     * MemSystem.AdvancingOnlyAtEventsMatchesEveryTick).
+     * its `doneAt`, neither of them the tick of the call, and one call
+     * takes completions and dispatches in the order per-tick calls do.
+     * So advancing straight to `now` leaves the same state as advancing
+     * through every tick before it (MemSystem.LeapingAdvanceMatchesEveryTick),
+     * and a caller that inserts no write and starts no flush may skip
+     * the calls between two nextEventTick() ticks: flushComplete(),
+     * wpqOccupancy() and the durable image answer the same there either
+     * way (MemSystem.AdvancingOnlyAtEventsMatchesEveryTick).
      */
     void advanceTo(Tick now);
 

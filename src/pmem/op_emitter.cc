@@ -76,6 +76,13 @@ mutationTargets(BarrierMutation::Target target, OpType type)
     return false;
 }
 
+/** Elements a queue entry delivers: a chain run's length, else 1. */
+uint64_t
+chainRunLength(const MicroOp &op)
+{
+    return op.type == OpType::kAluChain && op.value > 1 ? op.value : 1;
+}
+
 } // namespace
 
 OpEmitter::OpEmitter(MemImage &image, PersistMode mode)
@@ -112,6 +119,33 @@ OpEmitter::next(MicroOp &op)
     }
     queue_.pop_front();
     return true;
+}
+
+uint64_t
+OpEmitter::chainRunAhead() const
+{
+    if (queue_.empty())
+        return 0;
+    const MicroOp &front = queue_.front();
+    if (front.type != OpType::kAluChain || front.dep != 1 ||
+        front.repeat != 1)
+        return 0;
+    return chainRunLength(front);
+}
+
+MicroOp
+OpEmitter::takeChainRun(uint64_t n)
+{
+    uint64_t left = chainRunAhead();
+    SP_ASSERT(n >= 1 && n <= left, "chain run of ", left,
+              " elements cannot deliver ", n);
+    MicroOp op = queue_.front();
+    op.value = 0;
+    if (n < left)
+        queue_.front().value = left - n;
+    else
+        queue_.pop_front();
+    return op;
 }
 
 uint16_t
@@ -484,18 +518,6 @@ OpEmitter::persistBarrier()
     pcommit();
     sfence();
 }
-
-namespace
-{
-
-/** Elements a queue entry delivers: a chain run's length, else 1. */
-uint64_t
-chainRunLength(const MicroOp &op)
-{
-    return op.type == OpType::kAluChain && op.value > 1 ? op.value : 1;
-}
-
-} // namespace
 
 template <class Ar>
 void

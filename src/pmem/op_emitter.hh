@@ -147,6 +147,10 @@ class OpEmitter : public Program
 
     // --- Program interface (consumed by the core's fetch stage) ---------
     bool next(MicroOp &op) override;
+    /** Elements left in the queue-front chain record, once they all
+     *  have `dep = 1` (after the first, or for a record made that way). */
+    uint64_t chainRunAhead() const override;
+    MicroOp takeChainRun(uint64_t n) override;
 
     // --- Functional + emitting accessors ---------------------------------
     /** Load up to 8 bytes; returns the value. `handle` out: this op. */

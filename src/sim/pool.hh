@@ -138,6 +138,19 @@ class RingDeque
      */
     T &emplace_back() { return emplace_slot(); }
 
+    /** Append `n` copies of `value`, as `n` push_back() calls would. */
+    void
+    append(size_t n, const T &value)
+    {
+        // Doubling from a power of two reaches the same capacity.
+        reserve(size_ + n);
+        size_t first = wrap(head_ + size_);
+        size_t run = std::min(n, buf_.size() - first);
+        std::fill_n(buf_.begin() + first, run, value);
+        std::fill_n(buf_.begin(), n - run, value);
+        size_ += n;
+    }
+
     /** Retract the element the last emplace_back() added. */
     void
     pop_back()

@@ -37,6 +37,7 @@
 #include "isa/program.hh"
 #include "mem/cache_hierarchy.hh"
 #include "mem/mem_system.hh"
+#include "pmem/op_emitter.hh"
 
 using namespace sp;
 
@@ -202,9 +203,16 @@ TEST(FastForward, ChainFastPathCarriesSteadyState)
         << skip.perf.chainFastCycles << " of " << skip.stats.cycles
         << " cycles on the fast path";
 
+    // Chain jumps carry most of those cycles without stepping them.
+    EXPECT_LE(skip.perf.chainJumpCycles, skip.perf.chainFastCycles);
+    EXPECT_GE(skip.perf.chainJumpCycles * 10, skip.stats.cycles * 7)
+        << skip.perf.chainJumpCycles << " of " << skip.stats.cycles
+        << " cycles jumped";
+
     cfg.sim.eventSkip = false;
     RunResult tick = runExperiment(cfg);
     EXPECT_EQ(tick.perf.chainFastCycles, 0u);
+    EXPECT_EQ(tick.perf.chainJumpCycles, 0u);
     EXPECT_EQ(statsCsvRow("", tick.stats), statsCsvRow("", skip.stats));
 }
 
@@ -248,6 +256,69 @@ TEST(FastForward, ChainFastPathMatchesOracleOnOtherQueueSizes)
         EXPECT_EQ(fast[0], 0u) << "issue queue " << iq;
         EXPECT_GT(fast[1], 0u) << "issue queue " << iq;
     }
+}
+
+// Chain runs longer than the completion ring (8192 slots) and the
+// replay window's 4096-op release stride. A jump never reuses a ring
+// slot an op in flight holds, so one run takes several jumps, and the
+// window is released inside them. The emitter delivers the runs from
+// its queue records: after a persist barrier, then a second run chained
+// to the first, whose record starts with `dep = 1`.
+TEST(FastForward, ChainJumpsSpanLongRuns)
+{
+    struct Outcome
+    {
+        std::string csv;
+        uint64_t durableHash = 0;
+        size_t windowHighWater = 0;
+        uint64_t jumped = 0;
+    };
+    auto run = [](bool skip) {
+        SimConfig cfg;
+        cfg.eventSkip = skip;
+        MemImage image, durable;
+        OpEmitter em(image, PersistMode::kLogPSf);
+        unsigned left = 4;
+        em.setGenerator([&] {
+            if (left == 0)
+                return false;
+            Addr a = 0x10000 + 64 * left;
+            em.store(a, left, 8);
+            em.clwb(a);
+            em.sfence();
+            OpEmitter::Handle h = em.aluChain(20000);
+            em.aluChain(9000, h);
+            --left;
+            return true;
+        });
+        Stats stats;
+        MemSystem mc(cfg.mem, durable);
+        CacheHierarchy caches(cfg, mc);
+        mc.setStats(&stats);
+        caches.setStats(&stats);
+        OooCore core(cfg, em, caches, mc, stats);
+        core.run();
+        Outcome out;
+        out.csv = statsCsvRow("", stats);
+        out.durableHash = durable.hash();
+        std::vector<PoolStat> pools;
+        core.collectPoolStats(pools);
+        for (const PoolStat &p : pools) {
+            if (p.name == "program.window")
+                out.windowHighWater = p.highWater;
+        }
+        out.jumped = core.chainJumpCycles();
+        return out;
+    };
+    Outcome tick = run(false);
+    Outcome jump = run(true);
+    EXPECT_EQ(tick.csv, jump.csv);
+    EXPECT_EQ(tick.durableHash, jump.durableHash);
+    EXPECT_EQ(tick.windowHighWater, jump.windowHighWater);
+    EXPECT_GT(tick.windowHighWater, 0u);
+    EXPECT_EQ(tick.jumped, 0u);
+    // Each 20000-element run needs at least three jumps.
+    EXPECT_GE(jump.jumped, 4u * 25000);
 }
 
 // A barrier-free (Log+P) stream retires one clwb + one pcommit per

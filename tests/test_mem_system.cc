@@ -263,3 +263,63 @@ TEST(MemSystem, AdvancingOnlyAtEventsMatchesEveryTick)
         EXPECT_EQ(eagerImage.hash(), lazyImage.hash());
     }
 }
+
+// One advanceTo() that passes several completions and dispatches, as a
+// chain jump's exit advance does, must reach the state per-tick calls
+// reach. The case that needs care: a write queued behind a busy bank
+// dispatches at that bank's free tick, and the write behind it, on an
+// idle bank, dispatches in the same tick while the first is in flight,
+// so the seq-order clamp holds it to the first one's doneAt. A call
+// that completed the first write before dispatching the second would
+// let it finish earlier, and a flush behind it would report a shorter
+// latency.
+TEST(MemSystem, LeapingAdvanceMatchesEveryTick)
+{
+    for (unsigned jitter : {0u, 60u}) {
+        SCOPED_TRACE("jitter " + std::to_string(jitter));
+        MemConfig cfg;
+        cfg.nvmmBanks = 2;
+        cfg.nvmmWriteCycles = 300;
+        cfg.wpqEntries = 64;
+        MemImage eagerImage, leapImage;
+        Stats eagerStats, leapStats;
+        MemSystem eager(cfg, eagerImage), leap(cfg, leapImage);
+        eager.setStats(&eagerStats);
+        leap.setStats(&leapStats);
+        eager.setWriteJitter(jitter, 5);
+        leap.setWriteJitter(jitter, 5);
+
+        // Banks 0, 0, 1, 1, 0, 1 per burst, a flush behind each burst,
+        // and bursts closer together than they drain.
+        constexpr unsigned kBanks[] = {0, 0, 1, 1, 0, 1};
+        constexpr Tick kEnd = 30000;
+        unsigned writes = 0;
+        for (Tick t = 0; t < kEnd; ++t) {
+            eager.advanceTo(t);
+            if (t >= 15000 || t % 1100 != 0)
+                continue;
+            leap.advanceTo(t);
+            ASSERT_EQ(stateBytes(eager), stateBytes(leap)) << "tick " << t;
+            for (unsigned bank : kBanks) {
+                uint8_t data[kBlockBytes];
+                fill(data, static_cast<uint8_t>(++writes));
+                Addr blk = 0x1000 + (2 * (writes % 8) + bank) * kBlockBytes;
+                eager.insertWrite(blk, data, true);
+                leap.insertWrite(blk, data, true);
+            }
+            EXPECT_EQ(leap.startFlush(t), eager.startFlush(t));
+        }
+        leap.advanceTo(kEnd - 1);
+        EXPECT_EQ(stateBytes(eager), stateBytes(leap));
+        EXPECT_EQ(eager.wpqOccupancy(), 0u) << "script did not drain";
+        EXPECT_EQ(eagerStats.nvmmWrites, leapStats.nvmmWrites);
+        EXPECT_EQ(eagerImage.hash(), leapImage.hash());
+        const Histogram &e = eagerStats.flushLatency;
+        const Histogram &l = leapStats.flushLatency;
+        EXPECT_GT(e.samples(), 0u);
+        EXPECT_EQ(e.samples(), l.samples());
+        EXPECT_EQ(e.min(), l.min());
+        EXPECT_EQ(e.max(), l.max());
+        EXPECT_EQ(e.mean(), l.mean());
+    }
+}

@@ -62,6 +62,28 @@ TEST(RingDeque, GrowthPreservesOrderAndContents)
     EXPECT_EQ(q.back(), 299);
 }
 
+TEST(RingDeque, AppendMatchesPushBack)
+{
+    // Bulk appends that wrap, fill the ring exactly and grow it must
+    // leave what the same push_back() calls leave: contents, capacity
+    // and high-water.
+    RingDeque<int> bulk, one;
+    int next = 0;
+    for (size_t n : {5u, 0u, 11u, 9u, 1u, 40u, 300u}) {
+        bulk.popFront(bulk.size() / 2);
+        one.popFront(one.size() / 2);
+        bulk.append(n, next);
+        for (size_t i = 0; i < n; ++i)
+            one.push_back(next);
+        ++next;
+        ASSERT_EQ(bulk.size(), one.size());
+        EXPECT_EQ(bulk.capacity(), one.capacity()) << "after " << n;
+        EXPECT_EQ(bulk.highWater(), one.highWater()) << "after " << n;
+        for (size_t i = 0; i < one.size(); ++i)
+            ASSERT_EQ(bulk[i], one[i]) << "after " << n << " at " << i;
+    }
+}
+
 TEST(RingDeque, IterationAndPopFrontN)
 {
     RingDeque<int> q;

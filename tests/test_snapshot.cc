@@ -368,6 +368,19 @@ fastCycles(const RunConfig &cfg, const std::vector<uint8_t> &cut, Tick at,
     return probe.finish().perf.chainFastCycles;
 }
 
+/** Restore a probe from `cut` (taken at `at`), run it `cycles` cycles
+ *  and count the cycles chain jumps carried. */
+uint64_t
+jumpCycles(const RunConfig &cfg, const std::vector<uint8_t> &cut, Tick at,
+           Tick cycles)
+{
+    Machine probe(cfg, nullptr, /*deferSetup=*/true);
+    SnapshotReader r(cut);
+    probe.serialize(r);
+    probe.runUntil(at + cycles);
+    return probe.finish().perf.chainJumpCycles;
+}
+
 } // namespace
 
 // A cut inside the serial-chain steady state (OooCore::stepChainCycle):
@@ -449,6 +462,73 @@ TEST(Snapshot, CutInsideChainFastPath)
     EXPECT_TRUE(r.exhausted());
     resumed.runUntil(kTickNever);
     EXPECT_EQ(fingerprint(resumed.finish()), fingerprint(serial));
+}
+
+// Cuts a jump short (OooCore::jumpChain). Each limit below stops one
+// jump that starts at `start`: across the issue queue (48, 49), the
+// ROB plus fetch queue (97), and the replay window's 4096-op release
+// stride (4095-4097), so a release falls inside the longest spans.
+// The jump writes queue entries, ring slots and window entries in
+// closed form and advances the controller only on exit, so each cut
+// must save the bytes the oracle clock saves at the same tick. Log+P
+// keeps a write queued in the WPQ when the jump starts. String swap:
+// its 7000-element chains are the only ones long enough for a jump of
+// 4097 cycles (linked list's are 3500).
+TEST(Snapshot, CutInsideChainJump)
+{
+    constexpr Tick kLimits[] = {1, 2, 48, 49, 97, 4095, 4096, 4097};
+    constexpr Tick kLongest = 4097;
+    for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogP}) {
+        RunConfig cfg = smallConfig(WorkloadKind::kStringSwap, false);
+        cfg.params.mode = mode;
+        SCOPED_TRACE(persistModeName(mode));
+        RunResult serial = runExperiment(cfg);
+
+        // The first tick, on a 97-cycle grid, where one jump covers the
+        // longest span (and, at Log+P, a write waits in the WPQ).
+        Machine producer(cfg);
+        std::vector<uint8_t> start_bytes;
+        Tick start = 0;
+        for (Tick at = 97; start_bytes.empty(); at += 97) {
+            ASSERT_LT(at + kLongest, serial.stats.cycles)
+                << "no jump spans " << kLongest << " cycles";
+            producer.runUntil(at);
+            if (producer.now() != at)
+                continue;
+            std::vector<uint8_t> bytes = machineBytes(producer);
+            if (mode == PersistMode::kLogP && queuedWrites(bytes) == 0)
+                continue;
+            if (jumpCycles(cfg, bytes, at, kLongest) == kLongest) {
+                start = at;
+                start_bytes = std::move(bytes);
+            }
+        }
+
+        RunConfig oracle_cfg = cfg;
+        oracle_cfg.sim.eventSkip = false;
+        Machine oracle(oracle_cfg);
+        for (Tick n : kLimits) {
+            SCOPED_TRACE(n);
+            Machine jumped(cfg, nullptr, /*deferSetup=*/true);
+            SnapshotReader r(start_bytes);
+            jumped.serialize(r);
+            jumped.runUntil(start + n);
+            ASSERT_EQ(jumped.now(), start + n);
+            std::vector<uint8_t> cut = machineBytes(jumped);
+            oracle.runUntil(start + n);
+            ASSERT_EQ(oracle.now(), start + n);
+            EXPECT_TRUE(machineBytes(oracle) == cut)
+                << "cut " << n << " cycles into a jump differs from the "
+                << "oracle clock's";
+
+            Machine resumed(cfg, nullptr, /*deferSetup=*/true);
+            SnapshotReader rr(cut);
+            resumed.serialize(rr);
+            EXPECT_TRUE(rr.exhausted());
+            resumed.runUntil(kTickNever);
+            EXPECT_EQ(fingerprint(resumed.finish()), fingerprint(serial));
+        }
+    }
 }
 
 TEST(Snapshot, UntracedSnapshotRestoresIntoTracedMachine)
