@@ -129,6 +129,8 @@ struct SuiteResult
     std::string name;
     unsigned runs = 0;
     uint64_t simCycles = 0;
+    /** Of simCycles, those chain jumps covered (report only). */
+    uint64_t jumpedCycles = 0;
     uint64_t allocations = 0;
     /** Allocations during the first run of the grid: machine
      *  construction plus every pool growing to its working size. */
@@ -171,6 +173,7 @@ runSuite(const std::string &name, const std::vector<RunConfig> &grid)
         result.runSeconds.push_back(std::chrono::duration<double>(
             std::chrono::steady_clock::now() - r0).count());
         result.simCycles += run.stats.cycles;
+        result.jumpedCycles += run.perf.chainJumpCycles;
         result.transHits +=
             run.perf.volatileTransHits + run.perf.durableTransHits;
         result.transMisses +=
@@ -290,6 +293,7 @@ runSingleRunSuite()
     RunResult run = runExperiment(cfg);
     auto t1 = std::chrono::steady_clock::now();
     result.simCycles = run.stats.cycles;
+    result.jumpedCycles = run.perf.chainJumpCycles;
     result.transHits =
         run.perf.volatileTransHits + run.perf.durableTransHits;
     result.transMisses =
@@ -361,11 +365,15 @@ printSuite(const SuiteResult &s)
         ? 100.0 * static_cast<double>(s.transHits) /
             static_cast<double>(trans)
         : 0.0;
-    std::printf("%-15s %3u runs  %12llu cycles  %8.3f s  %12.0f cyc/s"
-                "  %10llu allocs (%llu warm-up + %llu steady)"
+    double jumped = s.simCycles
+        ? 100.0 * static_cast<double>(s.jumpedCycles) /
+            static_cast<double>(s.simCycles)
+        : 0.0;
+    std::printf("%-15s %3u runs  %12llu cycles (%5.1f%% jumped)  %8.3f s"
+                "  %12.0f cyc/s  %10llu allocs (%llu warm-up + %llu steady)"
                 "  ptc %.2f%%\n",
                 s.name.c_str(), s.runs,
-                static_cast<unsigned long long>(s.simCycles),
+                static_cast<unsigned long long>(s.simCycles), jumped,
                 s.wallSeconds, s.cyclesPerSec(),
                 static_cast<unsigned long long>(s.allocations),
                 static_cast<unsigned long long>(s.warmupAllocations),

@@ -99,6 +99,8 @@ class EpochManager
      * buffer empty, earlier persist acks received) now holds.
      */
     void setPreSpecDrained(bool drained) { preSpecDrained_ = drained; }
+    /** The drain condition last passed to setPreSpecDrained(). */
+    bool preSpecDrained() const { return preSpecDrained_; }
 
     /**
      * Advance the commit engine by one cycle.

@@ -351,6 +351,14 @@ OooCore::clearIssueQueues()
     unissuedCount_ = 0;
 }
 
+/** Out of line, so the message formatting stays off executeOp()'s
+ *  hot path. */
+[[noreturn, gnu::noinline, gnu::cold]] static void
+panicWaitChainCycle(uint64_t seq)
+{
+    SP_PANIC("wait-chain cycle at seq ", seq);
+}
+
 void
 OooCore::executeOp(DynOp &op)
 {
@@ -416,7 +424,10 @@ OooCore::executeOp(DynOp &op)
     // now known, so they graduate to the timed wake heap.
     uint64_t waiter = waitHead_[idx];
     waitHead_[idx] = 0;
-    while (waiter != 0) {
+    // Every waiter is a distinct ROB entry, so a longer walk is a cycle.
+    for (size_t links = 0; waiter != 0; ++links) {
+        if (links == rob_.size())
+            panicWaitChainCycle(waiter);
         DynOp *w = findBySeq(waiter);
         SP_ASSERT(w && !w->issued, "stale wait-chain entry");
         pendingWakes_.push(ready, waiter);
@@ -1136,8 +1147,7 @@ OooCore::chainPathOpen() const
 bool
 OooCore::chainCycleApplies() const
 {
-    if (specMode_ || postAbortDrain_ || sbInFlight_ ||
-        !storeBuffer_.empty())
+    if (postAbortDrain_ || sbInFlight_ || !storeBuffer_.empty())
         return false;
     if (unissuedCount_ != cfg_.core.issueQueueSize ||
         fetchQ_.size() != cfg_.core.fetchQueueSize || rob_.size() < 2 ||
@@ -1154,42 +1164,6 @@ OooCore::chainCycleApplies() const
         (at.size() < 2 || at[1] > now_) && (at.size() < 3 || at[2] > now_);
 }
 
-void
-OooCore::stepChainCycle()
-{
-    // Each line below is what stepCycle() does in this state; the stages
-    // it leaves out provably do nothing here. No probe source is
-    // attached, so processProbes() does not run; the core does not
-    // speculate, so the epoch manager is not ticked and
-    // maybeExitSpeculation() returns at once; the store buffer is empty,
-    // so it does not drain. runChainBatch() advances the controller.
-    flags_ = CycleFlags{};
-    if (compactionDue())
-        compactPersistState();
-
-    // Retire the completed chain head (no LSQ entry, no observer). The
-    // new head has not issued, so retirement stops after one op.
-    const DynOp &head = rob_.front();
-    stats_.instructions += head.op.instructionCount();
-    releaseRetired(head.nextCursor);
-    rob_.pop_front();
-    flags_.progress = true;
-
-    // Issue the one due wake, the new head. stepCycle() routes it
-    // through readySeqs_, which is empty again once it issues.
-    pendingWakes_.pop();
-    executeOp(rob_.front());
-    --unissuedCount_;
-
-    // That issue freed the one issue-queue entry dispatch can fill; the
-    // fetch-queue head is a chain element, so it needs no LSQ entry.
-    dispatchFront();
-
-    fetchStage();
-    if (flags_.fetchBlocked)
-        ++stats_.fetchQueueStallCycles;
-}
-
 uint64_t
 OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
 {
@@ -1199,6 +1173,26 @@ OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
     if (pendingWakes_.at.size() != 1 || compactionDue() || pendingAlu_ != 0 ||
         rob < 3 || rob + fetch >= kRingSize)
         return 0;
+    // Under speculation the epoch manager steps every cycle too. With an
+    // empty SSB it only waits, for a flush completion (a controller
+    // event) or the pre-speculation acks (preSpecDrained()), so the jump
+    // ends before the next tick that could change either. It starts only
+    // once the manager has seen the current drain state, and not on a
+    // cycle whose retire would release the window.
+    Tick quiet = kTickNever;
+    if (specMode_) {
+        quiet = mc_.nextEventTick();
+        for (Tick t : persistAcks_) {
+            if (t > now_)
+                quiet = std::min(quiet, t);
+        }
+        if (governor_.backoffUntil() > now_)
+            quiet = std::min(quiet, governor_.backoffUntil());
+        if (!ssb_.empty() || quiet <= now_ ||
+            epochs_.preSpecDrained() != preSpecDrained() ||
+            epochs_.oldestCursor() >= releasedCursor_ + kReleaseStride)
+            return 0;
+    }
     uint64_t ahead = program_.chainRunAhead();
     if (ahead == 0)
         return 0;
@@ -1226,7 +1220,7 @@ OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
     k = std::min<uint64_t>(k, kRingSize - rob - fetch);
     if (cfg_.maxCycles)
         k = std::min<uint64_t>(k, cfg_.maxCycles + 1 - now_);
-    return k;
+    return std::min<uint64_t>(k, quiet - now_);
 }
 
 void
@@ -1256,9 +1250,14 @@ OooCore::jumpChain(uint64_t k)
 
     // Program side. Retiring position i releases the window when its
     // cursor reaches the next release point; the window sees that
-    // cycle's release before its fetch, as it would per cycle.
+    // cycle's release before its fetch, as it would per cycle. Under
+    // speculation releaseRetired() caps release at the oldest checkpoint,
+    // which no jumped cycle moves, so no release falls inside the span.
+    SP_ASSERT(!specMode_ ||
+                  epochs_.oldestCursor() < releasedCursor_ + kReleaseStride,
+              "window release due inside a speculative chain jump");
     uint64_t fetched = 0;
-    while (true) {
+    while (!specMode_) {
         uint64_t due = std::max(releasedCursor_ + kReleaseStride, c0);
         if (due - c0 >= k)
             break;
@@ -1321,7 +1320,6 @@ OooCore::jumpChain(uint64_t k)
     if (flags_.fetchBlocked)
         stats_.fetchQueueStallCycles += k;
     nextSeq_ += k;
-    chainFastCycles_ += k;
     chainJumpCycles_ += k;
     now_ += k;
 }
@@ -1329,14 +1327,6 @@ OooCore::jumpChain(uint64_t k)
 void
 OooCore::runChainBatch(Tick cycleLimit)
 {
-    // A chain cycle issues no memory op, inserts no write and starts no
-    // flush; of the controller it sees only flush completions
-    // (compactPersistState()), which happen at its event ticks. And
-    // MemCtrl::advanceTo() reaches the same state whichever earlier
-    // ticks it was called at. So advancing on the first stepped cycle
-    // and then at each event tick shows every cycle what per-cycle
-    // calls would; a jump runs no compaction, so it needs no advance.
-    Tick mc_due = now_;
     Tick jump_at = now_;
     do {
         if (now_ >= jump_at) {
@@ -1346,19 +1336,17 @@ OooCore::runChainBatch(Tick cycleLimit)
                 continue;
             }
         }
-        if (now_ >= mc_due) {
-            mc_.advanceTo(now_);
-            mc_due = mc_.nextEventTick();
-        }
-        stepChainCycle();
-        ++chainFastCycles_;
+        // Retires the completed chain head, so the cycle is progress.
+        stepCycle();
         ++now_;
         // No done() test: chainCycleApplies() needs two ops in the ROB.
     } while (now_ < cycleLimit &&
              !(cfg_.maxCycles && now_ > cfg_.maxCycles) &&
              chainCycleApplies());
-    // Leave the controller as the last cycle would have, so a snapshot
-    // cut here saves the same bytes.
+    // A jump leaves the controller behind, and MemCtrl::advanceTo()
+    // reaches the same state whichever earlier ticks it was called at.
+    // Leave it as the last cycle would have, so a snapshot cut here
+    // saves the same bytes.
     mc_.advanceTo(now_ - 1);
 }
 

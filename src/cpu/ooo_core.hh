@@ -153,15 +153,9 @@ class OooCore
     size_t robOccupancy() const { return rob_.size(); }
 
     /**
-     * Cycles this core object ran through the serial-chain fast path
-     * (stepChainCycle()). Host telemetry: it is in no Stats, trace or
-     * snapshot, and a restored core counts from zero.
-     */
-    uint64_t chainFastCycles() const { return chainFastCycles_; }
-
-    /**
-     * The part of chainFastCycles() that chain jumps (jumpChain())
-     * covered instead of stepping. Host telemetry like it.
+     * Cycles this core object covered with chain jumps (jumpChain())
+     * instead of stepping them. Host telemetry: it is in no Stats, trace
+     * or snapshot, and a restored core counts from zero.
      */
     uint64_t chainJumpCycles() const { return chainJumpCycles_; }
 
@@ -388,7 +382,6 @@ class OooCore
     CycleFlags flags_;
 
     // --- Serial-chain steady state ------------------------------------------
-    uint64_t chainFastCycles_ = 0;
     uint64_t chainJumpCycles_ = 0;
 
     /** The fast path may run at all: the event-skip clock, every stage
@@ -396,25 +389,17 @@ class OooCore
     bool chainPathOpen() const;
     /**
      * O(1) test, given chainPathOpen(), that the coming cycle is the
-     * serial-chain steady state: non-speculative with an empty store
-     * buffer; the ROB head a completed chain element and exactly one
-     * wake due now, on the op behind it; the issue and fetch queues
-     * full, with a chain element at the fetch-queue head.
+     * serial-chain steady state, speculating or not: no post-abort drain
+     * and an empty store buffer; the ROB head a completed chain element
+     * and exactly one wake due now, on the op behind it; the issue and
+     * fetch queues full, with a chain element at the fetch-queue head.
      */
     bool chainCycleApplies() const;
     /**
-     * stepCycle() specialised to that state: retire, issue, dispatch and
-     * fetch one op each, skipping the stages that provably do nothing.
-     * Leaves every piece of state exactly as stepCycle() would, except
-     * that the caller advances the memory controller.
-     */
-    void stepChainCycle();
-    /**
-     * Run stepChainCycle() while chainCycleApplies() holds, advancing
-     * now_ past each cycle, and stop at `cycleLimit` or the maxCycles
-     * valve. The controller is advanced only at its own event ticks and
-     * on the last cycle. Requires chainCycleApplies() on entry. Spans
-     * that chainJumpSpan() admits are taken by jumpChain() instead.
+     * Step cycles while chainCycleApplies() holds, advancing now_ past
+     * each, and stop at `cycleLimit` or the maxCycles valve. Spans that
+     * chainJumpSpan() admits are taken by jumpChain(); the rest are
+     * stepCycle() calls. Requires chainCycleApplies() on entry.
      */
     void runChainBatch(Tick cycleLimit);
     /**
@@ -424,15 +409,19 @@ class OooCore
      * every op behind the ROB head is a plain chain element (single
      * cycle, `dep = 1`). Then the program's chain run ahead, capped at
      * `cycleLimit`, the maxCycles valve and the ring slots no op in
-     * flight holds. When it returns 0, `retryAt` is the first tick at
-     * which it could return more.
+     * flight holds. While speculating it is also 0 unless the SSB is
+     * empty, no controller event is due now, the epoch manager has seen
+     * the current pre-speculation drain state and no window release is
+     * due; `k` then ends before the next controller event, persist ack
+     * or backoff expiry. When it returns 0, `retryAt` is the first tick
+     * at which it could return more.
      */
     uint64_t chainJumpSpan(Tick cycleLimit, Tick &retryAt) const;
     /**
-     * Leave the core and the program as `k` stepChainCycle() calls
-     * would, writing only the queue entries, ring slots and window
-     * entries those cycles leave changed. Requires
-     * 0 < k <= chainJumpSpan(). The caller advances the controller.
+     * Leave the core and the program as `k` stepCycle() calls would,
+     * writing only the queue entries, ring slots and window entries
+     * those cycles leave changed. Requires 0 < k <= chainJumpSpan().
+     * The caller advances the controller.
      */
     void jumpChain(uint64_t k);
 

@@ -264,7 +264,6 @@ Machine::finish(Tick crashAtCycle)
     if (auditor_)
         result.audit = auditor_->finalize();
     core_->collectPoolStats(result.perf.pools);
-    result.perf.chainFastCycles = core_->chainFastCycles();
     result.perf.chainJumpCycles = core_->chainJumpCycles();
     result.perf.volatileTransHits = workload_->image().translationHits();
     result.perf.volatileTransMisses = workload_->image().translationMisses();

@@ -110,14 +110,12 @@ struct PerfTelemetry
     uint64_t wpqPeakTimed = 0;
     uint64_t wpqPeakShutdown = 0;
     /**
-     * Cycles the core ran through its serial-chain fast path
-     * (OooCore::chainFastCycles; counted by the machine that finished
-     * the run, so a restored run counts from the restore). Outside every
-     * fingerprint: it says how the host simulated, not what.
+     * Cycles the core covered with serial-chain jumps instead of
+     * stepping them (OooCore::chainJumpCycles; counted by the machine
+     * that finished the run, so a restored run counts from the
+     * restore). Outside every fingerprint: it says how the host
+     * simulated, not what.
      */
-    uint64_t chainFastCycles = 0;
-    /** The part of chainFastCycles that chain jumps covered without
-     *  stepping (OooCore::chainJumpCycles); outside every fingerprint. */
     uint64_t chainJumpCycles = 0;
 
     /** Human-readable table (spcli --cycle-account, bench reports). */

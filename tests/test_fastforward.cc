@@ -11,10 +11,10 @@
  * snapshot, so the skip logic is exercised under sampled counters,
  * absolute-time probe schedules, and partial runs.
  *
- * The grid also covers the serial-chain fast path
- * (OooCore::stepChainCycle), which runs only on the event-skip clock:
- * observer-free, conflict-free, non-speculative runs, where it must
- * engage on the skip clock and never on the oracle clock.
+ * The grid also covers serial-chain jumps (OooCore::jumpChain), which
+ * run only on the event-skip clock: observer-free, conflict-free runs,
+ * speculating or not, where they must engage on the skip clock and
+ * never on the oracle clock.
  *
  * Also here: long-run steady-state bounds. A max_cycles-scale run must
  * not accumulate unbounded bookkeeping (persist acks, flush flights,
@@ -138,14 +138,14 @@ bitIdentityGrid()
     for (WorkloadKind kind : {WorkloadKind::kLinkedList, WorkloadKind::kBTree})
         add(kind, PersistMode::kLogPSf, true, false, 50, 0, false,
             ConflictPolicy::kTrailWriter);
-    // The runs the serial-chain fast path speeds up: observers off, no
-    // conflicts, no speculation (the fence_sim benchmark's Base and
-    // Log+P+Sf cells).
+    // The runs chain jumps speed up: observers off, no conflicts (the
+    // fence_sim benchmark's Base, Log+P+Sf and SP cells).
     for (WorkloadKind kind :
          {WorkloadKind::kGraph, WorkloadKind::kHashMap,
           WorkloadKind::kLinkedList, WorkloadKind::kStringSwap}) {
         for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf})
             add(kind, mode, false, false, 0, 0, true);
+        add(kind, PersistMode::kLogPSf, true, false, 0, 0, true);
     }
     // A crashed run's snapshot must also be skip-schedule independent.
     add(WorkloadKind::kStringSwap, PersistMode::kLogPSf, true, true, 2000,
@@ -168,9 +168,9 @@ TEST(FastForward, BitIdentity)
         Fingerprint oracle = fingerprint(oracleRun);
         Fingerprint fast = fingerprint(fastRun);
 
-        EXPECT_EQ(oracleRun.perf.chainFastCycles, 0u) << cell.name;
+        EXPECT_EQ(oracleRun.perf.chainJumpCycles, 0u) << cell.name;
         if (cell.chainPath) {
-            EXPECT_GT(fastRun.perf.chainFastCycles, 0u) << cell.name;
+            EXPECT_GT(fastRun.perf.chainJumpCycles, 0u) << cell.name;
         }
         if (cell.aborts) {
             EXPECT_GT(oracleRun.stats.aborts, 0u) << cell.name;
@@ -185,9 +185,9 @@ TEST(FastForward, BitIdentity)
     }
 }
 
-// The serial-chain fast path must carry the steady state of a chain-
-// bound run, or a change to its entry test can switch it off without
-// any fingerprint noticing. It is the event-skip clock's alone.
+// Chain jumps must carry the steady state of a chain-bound run, or a
+// change to their entry test can switch them off without any
+// fingerprint noticing. They are the event-skip clock's alone.
 TEST(FastForward, ChainFastPathCarriesSteadyState)
 {
     RunConfig cfg;
@@ -199,62 +199,172 @@ TEST(FastForward, ChainFastPathCarriesSteadyState)
 
     RunResult skip = runExperiment(cfg);
     ASSERT_TRUE(skip.completed);
-    EXPECT_GE(skip.perf.chainFastCycles * 5, skip.stats.cycles * 4)
-        << skip.perf.chainFastCycles << " of " << skip.stats.cycles
-        << " cycles on the fast path";
-
-    // Chain jumps carry most of those cycles without stepping them.
-    EXPECT_LE(skip.perf.chainJumpCycles, skip.perf.chainFastCycles);
-    EXPECT_GE(skip.perf.chainJumpCycles * 10, skip.stats.cycles * 7)
+    EXPECT_GE(skip.perf.chainJumpCycles * 5, skip.stats.cycles * 4)
         << skip.perf.chainJumpCycles << " of " << skip.stats.cycles
         << " cycles jumped";
 
     cfg.sim.eventSkip = false;
     RunResult tick = runExperiment(cfg);
-    EXPECT_EQ(tick.perf.chainFastCycles, 0u);
     EXPECT_EQ(tick.perf.chainJumpCycles, 0u);
     EXPECT_EQ(statsCsvRow("", tick.stats), statsCsvRow("", skip.stats));
 }
 
-// The fast path's entry test must hold up on machines whose queues are
-// not the Table 2 sizes. With an issue queue deeper than the fetch
-// queue, a chain can reach the ROB head while dispatch still streams at
-// full width; stepCycle() then dispatches several ops, so the fast path
-// (one op) must stay off until the issue queue is full.
+// The same under speculation: an SP run's chains mostly execute while
+// a pcommit drains, with an empty SSB, and jumps must carry them.
+TEST(FastForward, SpecChainJumpsCarrySteadyState)
+{
+    RunConfig cfg;
+    cfg.kind = WorkloadKind::kLinkedList;
+    cfg.params.seed = 42;
+    cfg.params.initOps = 200;
+    cfg.params.simOps = 25;
+    cfg.params.mode = PersistMode::kLogPSf;
+    cfg.sim.sp.enabled = true;
+
+    RunResult skip = runExperiment(cfg);
+    ASSERT_TRUE(skip.completed);
+    EXPECT_GT(skip.stats.epochsStarted, 0u);
+    EXPECT_GE(skip.perf.chainJumpCycles * 5, skip.stats.cycles * 4)
+        << skip.perf.chainJumpCycles << " of " << skip.stats.cycles
+        << " cycles jumped";
+
+    cfg.sim.eventSkip = false;
+    RunResult tick = runExperiment(cfg);
+    EXPECT_EQ(tick.perf.chainJumpCycles, 0u);
+    EXPECT_EQ(statsCsvRow("", tick.stats), statsCsvRow("", skip.stats));
+}
+
+// A speculative jump must not cover the cycle at which the epoch
+// manager ends speculation. One chain runs while the core speculates
+// past a pcommit, and speculation ends on whichever comes last:
+//  - the flush completes (a controller event);
+//  - the clwb's persist ack arrives (a slow controller round trip);
+//  - the store buffer drains its misses, long after the flush. The
+//    exit cycle is then the first one in chain shape, and the jump must
+//    wait until the epoch manager has seen the drained state.
+// The oracle clock, cut one cycle at a time, finds the last cycle the
+// core speculates. The skip clock, run in one call to just before and
+// just after that cycle, must agree, with its jumps free to reach it.
+TEST(FastForward, SpecChainJumpsStopAtEpochEvents)
+{
+    enum class Last { kFlush, kAck, kStoreBuffer };
+    struct Core
+    {
+        SimConfig cfg;
+        MemImage image, durable;
+        OpEmitter em{image, PersistMode::kLogPSf};
+        bool emitted = false;
+        Stats stats;
+        MemSystem mc{cfg.mem, durable};
+        CacheHierarchy caches{cfg, mc};
+        OooCore core{cfg, em, caches, mc, stats};
+
+        Core(Last last, bool skip)
+            : cfg(config(last, skip))
+        {
+            em.setGenerator([this, last] {
+                if (emitted)
+                    return false;
+                emitted = true;
+                em.store(0x100000, 1, 8);
+                em.clwb(0x100000);
+                if (last == Last::kStoreBuffer) {
+                    // Cold blocks: the store buffer drains them one
+                    // miss at a time.
+                    for (unsigned i = 0; i < 12; ++i)
+                        em.store(0x200000 + 4096 * i, i, 8);
+                }
+                em.pcommit();
+                em.sfence();
+                em.aluChain(6000);
+                return true;
+            });
+            mc.setStats(&stats);
+            caches.setStats(&stats);
+        }
+
+        static SimConfig
+        config(Last last, bool skip)
+        {
+            SimConfig cfg;
+            cfg.eventSkip = skip;
+            cfg.sp.enabled = true;
+            if (last == Last::kAck)
+                cfg.mem.ctrlRoundTrip = 2000;
+            return cfg;
+        }
+    };
+    for (Last last : {Last::kFlush, Last::kAck, Last::kStoreBuffer}) {
+        SCOPED_TRACE(static_cast<int>(last));
+        Core oracle(last, false);
+        Tick spec_end = 0;
+        for (Tick t = 1; !oracle.core.runUntil(t); ++t) {
+            if (oracle.core.speculating())
+                spec_end = t;
+        }
+        ASSERT_GT(spec_end, 0u);
+
+        Core before(last, true);
+        before.core.runUntil(spec_end);
+        ASSERT_EQ(before.core.now(), spec_end);
+        EXPECT_TRUE(before.core.speculating());
+        if (last != Last::kStoreBuffer) {
+            EXPECT_GT(before.core.chainJumpCycles(), 0u);
+        }
+
+        Core after(last, true);
+        after.core.runUntil(spec_end + 1);
+        ASSERT_EQ(after.core.now(), spec_end + 1);
+        EXPECT_FALSE(after.core.speculating());
+        after.core.run();
+        EXPECT_GT(after.core.chainJumpCycles(), 0u);
+        EXPECT_EQ(statsCsvRow("", oracle.stats), statsCsvRow("", after.stats));
+    }
+}
+
+// The jump's entry test must hold up on machines whose queues are not
+// the Table 2 sizes. With an issue queue deeper than the fetch queue, a
+// chain can reach the ROB head while dispatch still streams at full
+// width; stepCycle() then dispatches several ops, so a jump (one op per
+// cycle) must wait until the issue queue is full.
 TEST(FastForward, ChainFastPathMatchesOracleOnOtherQueueSizes)
 {
-    std::vector<MicroOp> ops;
-    for (unsigned i = 0; i < 8; ++i)
-        ops.push_back(MicroOp::aluChain(1, i ? 1 : 0));
-    // More loads than the LSQ holds: dispatch blocks, the fetch queue
-    // fills, then dispatch streams again once the loads retire.
-    for (unsigned i = 0; i < 60; ++i)
-        ops.push_back(MicroOp::load(0x10000000 + (i % 8) * 8, 8));
-    for (unsigned i = 0; i < 400; ++i)
-        ops.push_back(MicroOp::aluChain(1, i ? 1 : 0));
-
     for (unsigned iq : {48u, 64u, 100u}) {
         std::string csv[2];
-        uint64_t fast[2] = {};
+        uint64_t jumped[2] = {};
         for (bool skip : {false, true}) {
             SimConfig cfg;
             cfg.eventSkip = skip;
             cfg.core.issueQueueSize = iq;
-            MemImage durable;
+            MemImage image, durable;
+            OpEmitter em(image, PersistMode::kNone);
+            bool emitted = false;
+            em.setGenerator([&] {
+                if (emitted)
+                    return false;
+                emitted = true;
+                em.aluChain(8);
+                // More loads than the LSQ holds: dispatch blocks, the
+                // fetch queue fills, then dispatch streams again once
+                // the loads retire.
+                for (unsigned i = 0; i < 60; ++i)
+                    em.load(0x10000000 + (i % 8) * 8, 8);
+                em.aluChain(400);
+                return true;
+            });
             Stats stats;
-            TraceProgram prog(ops);
             MemSystem mc(cfg.mem, durable);
             CacheHierarchy caches(cfg, mc);
             mc.setStats(&stats);
             caches.setStats(&stats);
-            OooCore core(cfg, prog, caches, mc, stats);
+            OooCore core(cfg, em, caches, mc, stats);
             core.run();
             csv[skip] = statsCsvRow("", stats);
-            fast[skip] = core.chainFastCycles();
+            jumped[skip] = core.chainJumpCycles();
         }
         EXPECT_EQ(csv[0], csv[1]) << "issue queue " << iq;
-        EXPECT_EQ(fast[0], 0u) << "issue queue " << iq;
-        EXPECT_GT(fast[1], 0u) << "issue queue " << iq;
+        EXPECT_EQ(jumped[0], 0u) << "issue queue " << iq;
+        EXPECT_GT(jumped[1], 0u) << "issue queue " << iq;
     }
 }
 

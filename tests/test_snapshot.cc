@@ -352,22 +352,6 @@ machineBytes(Machine &m)
     return w.take();
 }
 
-/**
- * Restore a probe from `cut` (taken at `at`), run it `cycles` cycles and
- * count its fast cycles: all of them exactly when the serial-chain
- * steady state holds that long.
- */
-uint64_t
-fastCycles(const RunConfig &cfg, const std::vector<uint8_t> &cut, Tick at,
-           Tick cycles)
-{
-    Machine probe(cfg, nullptr, /*deferSetup=*/true);
-    SnapshotReader r(cut);
-    probe.serialize(r);
-    probe.runUntil(at + cycles);
-    return probe.finish().perf.chainFastCycles;
-}
-
 /** Restore a probe from `cut` (taken at `at`), run it `cycles` cycles
  *  and count the cycles chain jumps carried. */
 uint64_t
@@ -383,11 +367,11 @@ jumpCycles(const RunConfig &cfg, const std::vector<uint8_t> &cut, Tick at,
 
 } // namespace
 
-// A cut inside the serial-chain steady state (OooCore::stepChainCycle):
-// the coming cycle takes the fast path, so the snapshot holds fetch-queue
-// slots built in place and a wake heap only that path has touched. The
-// resumed run must match the uninterrupted one, and a save right after
-// the restore must reproduce the cut byte for byte.
+// A cut inside the serial-chain steady state: the coming cycle is
+// jumped, so the snapshot holds fetch-queue slots built in place and a
+// wake heap only the jump has touched. The resumed run must match the
+// uninterrupted one, and a save right after the restore must reproduce
+// the cut byte for byte.
 TEST(Snapshot, CutInsideChainFastPath)
 {
     for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf}) {
@@ -395,7 +379,7 @@ TEST(Snapshot, CutInsideChainFastPath)
         cfg.params.mode = mode;
         SCOPED_TRACE(persistModeName(mode));
         RunResult serial = runExperiment(cfg);
-        ASSERT_GT(serial.perf.chainFastCycles, 0u);
+        ASSERT_GT(serial.perf.chainJumpCycles, 0u);
 
         Machine producer(cfg);
         std::vector<uint8_t> cut;
@@ -403,7 +387,7 @@ TEST(Snapshot, CutInsideChainFastPath)
             ASSERT_LT(at, serial.stats.cycles) << "no steady-state cut";
             producer.runUntil(at);
             std::vector<uint8_t> bytes = machineBytes(producer);
-            if (fastCycles(cfg, bytes, producer.now(), 1) == 1)
+            if (jumpCycles(cfg, bytes, producer.now(), 1) == 1)
                 cut = std::move(bytes);
         }
 
@@ -416,14 +400,14 @@ TEST(Snapshot, CutInsideChainFastPath)
         resumed.runUntil(kTickNever);
         RunResult result = resumed.finish();
         EXPECT_EQ(fingerprint(result), fingerprint(serial));
-        EXPECT_GT(result.perf.chainFastCycles, 0u);
+        EXPECT_GT(result.perf.chainJumpCycles, 0u);
     }
 
     // A limit inside a chain batch, with a write still queued in the
-    // WPQ. A batch advances the controller only at its event ticks, so
-    // it must stop at the limit and leave the controller where per-cycle
-    // stepping does: the cut equals the oracle clock's. Log+P: with
-    // sfences the WPQ has drained before every chain run.
+    // WPQ. A jump leaves the controller behind, so the batch must stop
+    // at the limit and leave the controller where per-cycle stepping
+    // does: the cut equals the oracle clock's. Log+P: with sfences the
+    // WPQ has drained before every chain run.
     RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, false);
     cfg.params.mode = PersistMode::kLogP;
     RunResult serial = runExperiment(cfg);
@@ -437,9 +421,9 @@ TEST(Snapshot, CutInsideChainFastPath)
         std::vector<uint8_t> bytes;
         if (batched.now() == at)
             bytes = machineBytes(batched);
-        // All kSpan cycles before the limit were chain cycles, so one
-        // batch ran them and stopped at the limit.
-        if (!prev.empty() && fastCycles(cfg, prev, at - kSpan, kSpan) ==
+        // All kSpan cycles before the limit were jumped, so one batch
+        // ran them and stopped at the limit.
+        if (!prev.empty() && jumpCycles(cfg, prev, at - kSpan, kSpan) ==
                                  kSpan) {
             ASSERT_EQ(batched.now(), at) << "batch overshot its limit";
             if (queuedWrites(bytes) > 0)
@@ -474,8 +458,45 @@ TEST(Snapshot, CutInsideChainFastPath)
 // keeps a write queued in the WPQ when the jump starts. String swap:
 // its 7000-element chains are the only ones long enough for a jump of
 // 4097 cycles (linked list's are 3500).
+//
+// Then the same under speculation (linked list, SP): a speculative jump
+// ends before the controller event at which a flush completes and the
+// epoch manager commits. The cuts fall mid-jump in a live epoch, on the
+// jump's last cycle, and at the completion tick.
 TEST(Snapshot, CutInsideChainJump)
 {
+    // Cut `cfg`'s run at each tick of `cuts`, restored from `start_bytes`
+    // taken at `start`: the bytes must equal the oracle clock's at the
+    // same tick, and the resumed run must finish as `serial` did.
+    auto checkCuts = [](const RunConfig &cfg, const RunResult &serial,
+                        const std::vector<uint8_t> &start_bytes, Tick start,
+                        const std::vector<Tick> &cuts) {
+        RunConfig oracle_cfg = cfg;
+        oracle_cfg.sim.eventSkip = false;
+        Machine oracle(oracle_cfg);
+        for (Tick at : cuts) {
+            SCOPED_TRACE(at - start);
+            Machine jumped(cfg, nullptr, /*deferSetup=*/true);
+            SnapshotReader r(start_bytes);
+            jumped.serialize(r);
+            jumped.runUntil(at);
+            ASSERT_EQ(jumped.now(), at);
+            std::vector<uint8_t> cut = machineBytes(jumped);
+            oracle.runUntil(at);
+            ASSERT_EQ(oracle.now(), at);
+            EXPECT_TRUE(machineBytes(oracle) == cut)
+                << "cut " << at - start << " cycles into a jump differs "
+                << "from the oracle clock's";
+
+            Machine resumed(cfg, nullptr, /*deferSetup=*/true);
+            SnapshotReader rr(cut);
+            resumed.serialize(rr);
+            EXPECT_TRUE(rr.exhausted());
+            resumed.runUntil(kTickNever);
+            EXPECT_EQ(fingerprint(resumed.finish()), fingerprint(serial));
+        }
+    };
+
     constexpr Tick kLimits[] = {1, 2, 48, 49, 97, 4095, 4096, 4097};
     constexpr Tick kLongest = 4097;
     for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogP}) {
@@ -504,31 +525,61 @@ TEST(Snapshot, CutInsideChainJump)
             }
         }
 
-        RunConfig oracle_cfg = cfg;
-        oracle_cfg.sim.eventSkip = false;
-        Machine oracle(oracle_cfg);
-        for (Tick n : kLimits) {
-            SCOPED_TRACE(n);
-            Machine jumped(cfg, nullptr, /*deferSetup=*/true);
-            SnapshotReader r(start_bytes);
-            jumped.serialize(r);
-            jumped.runUntil(start + n);
-            ASSERT_EQ(jumped.now(), start + n);
-            std::vector<uint8_t> cut = machineBytes(jumped);
-            oracle.runUntil(start + n);
-            ASSERT_EQ(oracle.now(), start + n);
-            EXPECT_TRUE(machineBytes(oracle) == cut)
-                << "cut " << n << " cycles into a jump differs from the "
-                << "oracle clock's";
+        std::vector<Tick> cuts;
+        for (Tick n : kLimits)
+            cuts.push_back(start + n);
+        checkCuts(cfg, serial, start_bytes, start, cuts);
+    }
 
-            Machine resumed(cfg, nullptr, /*deferSetup=*/true);
-            SnapshotReader rr(cut);
-            resumed.serialize(rr);
-            EXPECT_TRUE(rr.exhausted());
-            resumed.runUntil(kTickNever);
-            EXPECT_EQ(fingerprint(resumed.finish()), fingerprint(serial));
+    RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, true);
+    SCOPED_TRACE("SP");
+    RunResult serial = runExperiment(cfg);
+    ASSERT_EQ(serial.stats.aborts, 0u);
+    // Cycles jumped back to back from `at` (restored from `bytes`).
+    auto jumpedFrom = [&](const std::vector<uint8_t> &bytes, Tick at) {
+        Tick lo = 0, hi = 1;
+        while (jumpCycles(cfg, bytes, at, hi) == hi) {
+            lo = hi;
+            hi *= 2;
+        }
+        while (hi - lo > 1) {
+            Tick mid = lo + (hi - lo) / 2;
+            (jumpCycles(cfg, bytes, at, mid) == mid ? lo : hi) = mid;
+        }
+        return lo;
+    };
+    // Epochs committed by the cycle at `at` (restored from `bytes`).
+    auto commitsAt = [&](const std::vector<uint8_t> &bytes, Tick at) {
+        Machine probe(cfg, nullptr, /*deferSetup=*/true);
+        SnapshotReader r(bytes);
+        probe.serialize(r);
+        probe.runUntil(at);
+        uint64_t before = probe.stats().epochsCommitted;
+        probe.runUntil(at + 1);
+        return probe.stats().epochsCommitted - before;
+    };
+    // The first tick, on a 97-cycle grid, inside a live epoch where a
+    // jump of at least 8 cycles starts and ends at an epoch commit.
+    Machine producer(cfg);
+    std::vector<uint8_t> start_bytes;
+    Tick start = 0, end = 0;
+    for (Tick at = 97; start_bytes.empty(); at += 97) {
+        ASSERT_LT(at, serial.stats.cycles)
+            << "no speculative jump ends at a flush completion";
+        producer.runUntil(at);
+        const Stats &st = producer.stats();
+        if (producer.now() != at || st.epochsStarted == st.epochsCommitted)
+            continue;
+        std::vector<uint8_t> bytes = machineBytes(producer);
+        Tick span = jumpedFrom(bytes, at);
+        if (span >= 8 && commitsAt(bytes, at + span) > 0) {
+            start = at;
+            end = at + span;
+            start_bytes = std::move(bytes);
         }
     }
+    checkCuts(cfg, serial, start_bytes, start,
+              {start + (end - start) / 2, end - 1, end});
 }
 
 TEST(Snapshot, UntracedSnapshotRestoresIntoTracedMachine)
