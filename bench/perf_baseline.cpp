@@ -23,12 +23,13 @@
  *   - smoke_audit: the same cell with the durability audit attached.
  *     It has no absolute baseline entry (and --check skips suites
  *     without one); instead --check gates it *relative* to smoke --
- *     identical simulated cycles (the audit is a pure observer) and at
- *     most the tolerance fraction of cycles/sec lost to bookkeeping.
+ *     identical simulated cycles (the audit is a pure observer),
+ *     identical jumped cycles (it rides the chain jumps) and at most
+ *     the tolerance fraction of cycles/sec lost to bookkeeping.
  *   - smoke_account: the same cell with the cycle accountant attached,
- *     gated exactly like smoke_audit (identical simulated cycles,
- *     relative throughput envelope) so CPI-stack bookkeeping can never
- *     silently tax or perturb the simulator.
+ *     gated exactly like smoke_audit (identical simulated and jumped
+ *     cycles, relative throughput envelope) so CPI-stack bookkeeping
+ *     can never silently tax or perturb the simulator.
  *   - single_run_serial: ONE long fully-observed run (trace + audit +
  *     cycle account), gated like every other suite on throughput and
  *     allocations.
@@ -129,7 +130,8 @@ struct SuiteResult
     std::string name;
     unsigned runs = 0;
     uint64_t simCycles = 0;
-    /** Of simCycles, those chain jumps covered (report only). */
+    /** Of simCycles, those chain jumps covered (observer cells must
+     *  match smoke). */
     uint64_t jumpedCycles = 0;
     uint64_t allocations = 0;
     /** Allocations during the first run of the grid: machine
@@ -489,9 +491,10 @@ checkAgainstBaseline(const std::vector<SuiteResult> &measured,
 
     // Observer cells (audit, cycle accounting) are gated relative to the
     // plain smoke cell measured in the same process, so they need no
-    // per-machine baseline entry: the simulated cycle count must be
-    // exactly smoke's (observers never perturb timing) and the
-    // throughput must stay inside the tolerance envelope.
+    // per-machine baseline entry: the simulated and jumped cycle counts
+    // must be exactly smoke's (observers never perturb timing, and they
+    // ride the chain jumps) and the throughput must stay inside the
+    // tolerance envelope.
     for (const SuiteResult *cell : observerCells) {
         if (!smoke)
             break;
@@ -501,6 +504,14 @@ checkAgainstBaseline(const std::vector<SuiteResult> &measured,
                         cell->name.c_str(),
                         static_cast<unsigned long long>(cell->simCycles),
                         static_cast<unsigned long long>(smoke->simCycles));
+            ++failures;
+        }
+        if (cell->jumpedCycles != smoke->jumpedCycles) {
+            std::printf("check %-15s jumped %llu cycles vs smoke's %llu"
+                        "  OFF THE CHAIN PATH\n",
+                        cell->name.c_str(),
+                        static_cast<unsigned long long>(cell->jumpedCycles),
+                        static_cast<unsigned long long>(smoke->jumpedCycles));
             ++failures;
         }
         double ratio = cell->cyclesPerSec() / smoke->cyclesPerSec();

@@ -514,8 +514,7 @@ OooCore::countRetired(const DynOp &op)
     // to know whether retirement is still below the pre-abort high water.
     if (accountant_) {
         frontierCursor_ = op.nextCursor;
-        if (op.nextCursor > maxRetiredCursor_)
-            maxRetiredCursor_ = op.nextCursor;
+        maxRetiredCursor_ = std::max(maxRetiredCursor_, op.nextCursor);
     }
 }
 
@@ -1066,6 +1065,23 @@ OooCore::barrierPending() const
     return specMode_ && epochs_.gateOutstanding();
 }
 
+inline void
+OooCore::accountSpan(uint64_t n)
+{
+    if (flags_.fetchBlocked)
+        stats_.fetchQueueStallCycles += n;
+    if (flags_.fenceBlocked)
+        stats_.fenceStallCycles += n;
+    if (flags_.ssbBlocked)
+        stats_.ssbFullStallCycles += n;
+    if (flags_.checkpointBlocked)
+        stats_.checkpointStallCycles += n;
+    if (flags_.sbBlocked)
+        stats_.storeBufferStallCycles += n;
+    if (accountant_)
+        accountant_->account(lastCat_, lastBarrier_, n);
+}
+
 void
 OooCore::stepCycle()
 {
@@ -1088,18 +1104,6 @@ OooCore::stepCycle()
     fetchStage();
     maybeExitSpeculation();
 
-    // Cycle-granularity stall accounting.
-    if (flags_.fetchBlocked)
-        ++stats_.fetchQueueStallCycles;
-    if (flags_.fenceBlocked)
-        ++stats_.fenceStallCycles;
-    if (flags_.ssbBlocked)
-        ++stats_.ssbFullStallCycles;
-    if (flags_.checkpointBlocked)
-        ++stats_.checkpointStallCycles;
-    if (flags_.sbBlocked)
-        ++stats_.storeBufferStallCycles;
-
     // Exhaustive cycle attribution. Classified after every stage has set
     // its flags so the priority order sees the whole cycle; the cached
     // classification is what skipIdleCycles() attributes to a skipped
@@ -1108,8 +1112,8 @@ OooCore::stepCycle()
     if (accountant_) {
         lastCat_ = classifyCycle();
         lastBarrier_ = barrierPending();
-        accountant_->account(lastCat_, lastBarrier_, 1);
     }
+    accountSpan(1);
 
     if (tracer_) {
         // Fence-stall intervals: one span from the first blocked cycle
@@ -1130,18 +1134,6 @@ OooCore::stepCycle()
             nextSampleAt_ = now_ + tracer_->sampleEvery();
         }
     }
-}
-
-bool
-OooCore::chainPathOpen() const
-{
-    // The oracle clock stays the per-cycle reference the fast path is
-    // checked against. A zero-width stage never moves an op, so the
-    // fast path's one op per stage would be wrong there.
-    const CoreConfig &core = cfg_.core;
-    return cfg_.eventSkip && core.fetchWidth > 0 && core.dispatchWidth > 0 &&
-        core.issueWidth > 0 && core.retireWidth > 0 && !tracer_ &&
-        !accountant_ && !auditor_ && !probes_;
 }
 
 bool
@@ -1179,20 +1171,24 @@ OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
     // ends before the next tick that could change either. It starts only
     // once the manager has seen the current drain state, and not on a
     // cycle whose retire would release the window.
-    Tick quiet = kTickNever;
+    Tick quiet = probes_ ? probes_->nextAt() : kTickNever;
+    if (tracer_ && tracer_->enabled(kTraceCounters))
+        quiet = std::min(quiet, nextSampleAt_);
     if (specMode_) {
-        quiet = mc_.nextEventTick();
+        quiet = std::min(quiet, mc_.nextEventTick());
         for (Tick t : persistAcks_) {
             if (t > now_)
                 quiet = std::min(quiet, t);
         }
         if (governor_.backoffUntil() > now_)
             quiet = std::min(quiet, governor_.backoffUntil());
-        if (!ssb_.empty() || quiet <= now_ ||
+        if (!ssb_.empty() ||
             epochs_.preSpecDrained() != preSpecDrained() ||
             epochs_.oldestCursor() >= releasedCursor_ + kReleaseStride)
             return 0;
     }
+    if (quiet <= now_)
+        return 0;
     uint64_t ahead = program_.chainRunAhead();
     if (ahead == 0)
         return 0;
@@ -1226,6 +1222,9 @@ OooCore::chainJumpSpan(Tick cycleLimit, Tick &retryAt) const
 void
 OooCore::jumpChain(uint64_t k)
 {
+    SP_ASSERT(fenceStallBegin_ == kTickNever ||
+                  !(tracer_ && tracer_->enabled(kTraceSpec)),
+              "fence-stall span open at a chain jump");
     // Number the ops by stream position: the ROB head is 0, the ROB
     // holds 0..R-1, the fetch queue R..R+F-1, and cycle i fetches R+F+i.
     // Only an abort rewinds the program, and it empties both queues, so
@@ -1312,13 +1311,27 @@ OooCore::jumpChain(uint64_t k)
     pendingWakes_.seq[0] = s0 + k + 1;
 
     // Every cycle retired one op and set progress; with a second fetch
-    // slot, fetch then found the queue full.
+    // slot, fetch then found the queue full. Cycle i retires cursor
+    // c0 + i, so the account is abort replay until the cursor reaches
+    // replayUntil_ and compute after it.
     flags_ = CycleFlags{};
     flags_.progress = true;
     flags_.fetchBlocked = cfg_.core.fetchWidth > 1;
+    const uint64_t split =
+        accountant_ ? std::clamp<uint64_t>(replayUntil_, c0, c0 + k) - c0 : 0;
+    for (uint64_t from = 0; uint64_t end : {split, k}) {
+        if (end == from)
+            continue;
+        if (accountant_) {
+            frontierCursor_ = c0 + end - 1;
+            maxRetiredCursor_ = std::max(maxRetiredCursor_, frontierCursor_);
+            lastCat_ = classifyCycle();
+            lastBarrier_ = barrierPending();
+        }
+        accountSpan(end - from);
+        from = end;
+    }
     stats_.instructions += retired;
-    if (flags_.fetchBlocked)
-        stats_.fetchQueueStallCycles += k;
     nextSeq_ += k;
     chainJumpCycles_ += k;
     now_ += k;
@@ -1396,38 +1409,22 @@ OooCore::skipIdleCycles()
         ++now_;
         return;
     }
-    Tick delta = next - now_ - 1;
-    if (flags_.fetchBlocked)
-        stats_.fetchQueueStallCycles += delta;
-    if (flags_.fenceBlocked)
-        stats_.fenceStallCycles += delta;
-    if (flags_.ssbBlocked)
-        stats_.ssbFullStallCycles += delta;
-    if (flags_.checkpointBlocked)
-        stats_.checkpointStallCycles += delta;
-    if (flags_.sbBlocked)
-        stats_.storeBufferStallCycles += delta;
-    // Attribute the skipped span to the first idle cycle's classification
-    // (same contract as the stall counters above), so skipped cycles are
-    // accounted, never lost: sum(categories) tracks now_ exactly.
-    if (accountant_)
-        accountant_->account(lastCat_, lastBarrier_, delta);
+    // Booked as its first cycle: sum(categories) tracks now_ exactly.
+    accountSpan(next - now_ - 1);
     now_ = next;
 }
 
 bool
 OooCore::runUntil(Tick cycleLimit)
 {
-    // Observers and probe sources are attached between calls, so once
-    // the fast path is open at entry it stays open for the whole call.
-    const bool chain_path = chainPathOpen();
     uint64_t idle_streak = 0;
     while (!done()) {
         if (now_ >= cycleLimit) {
             stats_.cycles = now_;
             return false;
         }
-        if (chain_path && chainCycleApplies()) {
+        // The oracle clock stays the per-cycle reference.
+        if (cfg_.eventSkip && chainCycleApplies()) {
             // Steps at least one cycle, each of them progress.
             runChainBatch(cycleLimit);
             idle_streak = 0;

@@ -94,8 +94,8 @@ class OooCore
 
     /**
      * Attach the source of external coherence probes (may be null = no
-     * probes). A probe that hits the BLT while the core speculates
-     * aborts to the oldest checkpoint. The caller keeps ownership.
+     * probes), drawn on stepped cycles only. A probe that hits the BLT
+     * while speculating aborts to the oldest checkpoint. Not owned.
      */
     void setProbeSource(ProbeSource *probes) { probes_ = probes; }
 
@@ -111,25 +111,24 @@ class OooCore
      * epoch manager, caches, memory system). The core publishes retire
      * instants, SPECULATE/COMMIT/ABORT markers, fence-stall spans,
      * Bloom/SSB-forward instants, and interval-sampled occupancy
-     * counters. The caller keeps ownership of the tracer.
+     * counters, none inside a chain jump. The caller keeps ownership.
      */
     void setTracer(Tracer *tracer);
 
     /**
      * Attach a durability auditor (may be null = audit off). The core
-     * feeds it every retired non-ALU op exactly once, in program order,
-     * deduplicated across speculative abort/replay by the op's program
-     * cursor. Pure observer: attaching it never changes timing.
+     * feeds it every retired non-ALU op (none in a chain jump) exactly
+     * once, in program order, deduplicated across abort/replay by the
+     * op's program cursor. Pure observer: it never changes timing.
      */
     void setAuditor(DurabilityAuditor *auditor) { auditor_ = auditor; }
 
     /**
-     * Attach a cycle accountant (may be null = accounting off). Every
-     * stepped cycle is classified into exactly one CycleCat at the end
-     * of stepCycle(); a skipped idle span is attributed in bulk to the
-     * classification of its first cycle, mirroring the Stats stall
-     * counters, so sum(categories) == Stats::cycles always holds. Pure
-     * observer: attaching it never changes timing.
+     * Attach a cycle accountant (may be null = accounting off). Each
+     * stepped cycle, skipped idle span and chain jump is booked by
+     * accountSpan() with the Stats stall counters, so sum(categories)
+     * == Stats::cycles always holds. Pure observer: attaching it never
+     * changes timing.
      */
     void setAccountant(CycleAccountant *accountant)
     {
@@ -353,6 +352,8 @@ class OooCore
     CycleCat classifyCycle() const;
     /** Ledger condition: a persist barrier is pending this cycle. */
     bool barrierPending() const;
+    /** Book `n` cycles as flags_, lastCat_ and lastBarrier_ say. */
+    inline void accountSpan(uint64_t n);
     /** Start of the fence-stall interval in progress; kTickNever = none. */
     Tick fenceStallBegin_ = kTickNever;
     /** Next interval-sampler firing tick. */
@@ -384,11 +385,8 @@ class OooCore
     // --- Serial-chain steady state ------------------------------------------
     uint64_t chainJumpCycles_ = 0;
 
-    /** The fast path may run at all: the event-skip clock, every stage
-     *  at least one op wide, and no observer or probe source attached. */
-    bool chainPathOpen() const;
     /**
-     * O(1) test, given chainPathOpen(), that the coming cycle is the
+     * O(1) test, on the event-skip clock, that the coming cycle is the
      * serial-chain steady state, speculating or not: no post-abort drain
      * and an empty store buffer; the ROB head a completed chain element
      * and exactly one wake due now, on the op behind it; the issue and
@@ -408,20 +406,20 @@ class OooCore
      * wake, no compaction is due, no ALU group is being expanded, and
      * every op behind the ROB head is a plain chain element (single
      * cycle, `dep = 1`). Then the program's chain run ahead, capped at
-     * `cycleLimit`, the maxCycles valve and the ring slots no op in
-     * flight holds. While speculating it is also 0 unless the SSB is
-     * empty, no controller event is due now, the epoch manager has seen
-     * the current pre-speculation drain state and no window release is
-     * due; `k` then ends before the next controller event, persist ack
-     * or backoff expiry. When it returns 0, `retryAt` is the first tick
-     * at which it could return more.
+     * `cycleLimit`, the maxCycles valve, free ring slots, the next probe
+     * draw and the next counter sample. While speculating it is also 0
+     * unless the SSB is empty, no controller event is due now, the epoch
+     * manager has seen the current pre-speculation drain state and no
+     * window release is due; `k` then ends before the next controller
+     * event, persist ack or backoff expiry. When it returns 0, `retryAt`
+     * is the first tick at which it could return more.
      */
     uint64_t chainJumpSpan(Tick cycleLimit, Tick &retryAt) const;
     /**
-     * Leave the core and the program as `k` stepCycle() calls would,
-     * writing only the queue entries, ring slots and window entries
-     * those cycles leave changed. Requires 0 < k <= chainJumpSpan().
-     * The caller advances the controller.
+     * Leave the core, the program and the attached observers as `k`
+     * stepCycle() calls would, writing only the queue entries, ring
+     * slots and window entries those cycles leave changed. Requires
+     * 0 < k <= chainJumpSpan(). The caller advances the controller.
      */
     void jumpChain(uint64_t k);
 

@@ -80,6 +80,9 @@ validateRunConfig(const RunConfig &cfg)
     if (cfg.sim.sp.enabled &&
         (cfg.sim.sp.bloomBytes == 0 || cfg.sim.sp.bloomHashes == 0))
         reject("sp.enabled requires a non-empty Bloom filter");
+    const CoreConfig &c = cfg.sim.core;
+    if (!c.fetchWidth || !c.dispatchWidth || !c.issueWidth || !c.retireWidth)
+        reject("core fetch, dispatch, issue and retire widths must be > 0");
     if (cfg.sim.mem.nvmmBanks == 0)
         reject("mem.nvmmBanks must be > 0");
     if (cfg.sim.mem.wpqEntries == 0)

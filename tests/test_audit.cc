@@ -386,6 +386,9 @@ TEST(AuditDeterminism, SingleRunUnperturbed)
         RunResult on = runExperiment(cfg);
         EXPECT_EQ(fingerprint(off), fingerprint(on))
             << workloadKindName(kind) << ": audit perturbed the run";
+        // Nor does it change which cycles chain jumps carry.
+        EXPECT_EQ(off.perf.chainJumpCycles, on.perf.chainJumpCycles)
+            << workloadKindName(kind);
         EXPECT_FALSE(off.audit.enabled);
         EXPECT_TRUE(on.audit.enabled);
     }

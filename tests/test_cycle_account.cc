@@ -248,12 +248,47 @@ TEST(CycleAccount, OracleAndSkipAccountsAgree)
             RunConfig skip = tick;
             skip.sim.eventSkip = true;
 
+            RunConfig bare = skip;
+            bare.account.enabled = false;
+
             RunResult oracle = runExperiment(tick);
             RunResult fast = runExperiment(skip);
+            std::string name =
+                workloadKindName(kind) + std::string(sp ? "/sp" : "");
             EXPECT_EQ(oracle.account.toJson(), fast.account.toJson())
-                << workloadKindName(kind) << (sp ? "/sp" : "");
+                << name;
+            // The account rides the chain jumps: the skip clock jumps
+            // exactly the cycles it jumps with no accountant attached.
+            EXPECT_GT(fast.perf.chainJumpCycles, 0u) << name;
+            EXPECT_EQ(fast.perf.chainJumpCycles,
+                      runExperiment(bare).perf.chainJumpCycles)
+                << name;
         }
     }
+
+    // Probes that trail the core's speculative writes abort it, so the
+    // replay frontier moves between jumps; the skip clock's account must
+    // still be the oracle's.
+    RunConfig tick;
+    tick.kind = WorkloadKind::kLinkedList;
+    tick.params.seed = 42;
+    tick.params.initOps = 200;
+    tick.params.simOps = 25;
+    tick.params.mode = PersistMode::kLogPSf;
+    tick.sim.sp.enabled = true;
+    tick.sim.fault.conflict.enabled = true;
+    tick.sim.fault.conflict.period = 50;
+    tick.sim.fault.conflict.seed = 7;
+    tick.sim.fault.conflict.policy = ConflictPolicy::kTrailWriter;
+    tick.sim.eventSkip = false;
+    tick.account.enabled = true;
+    RunConfig skip = tick;
+    skip.sim.eventSkip = true;
+    RunResult oracle = runExperiment(tick);
+    RunResult fast = runExperiment(skip);
+    EXPECT_GT(oracle.account.cat(CycleCat::kAbortReplay), 0u);
+    EXPECT_GT(fast.perf.chainJumpCycles, 0u);
+    EXPECT_EQ(oracle.account.toJson(), fast.account.toJson());
 }
 
 TEST(CycleAccount, SweepMergeIsWorkerCountInvariant)

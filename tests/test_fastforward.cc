@@ -12,9 +12,9 @@
  * absolute-time probe schedules, and partial runs.
  *
  * The grid also covers serial-chain jumps (OooCore::jumpChain), which
- * run only on the event-skip clock: observer-free, conflict-free runs,
- * speculating or not, where they must engage on the skip clock and
- * never on the oracle clock.
+ * run only on the event-skip clock: on the chain-bound workloads,
+ * speculating or not, traced or not and with conflict probes or not,
+ * they must engage on the skip clock and never on the oracle clock.
  *
  * Also here: long-run steady-state bounds. A max_cycles-scale run must
  * not accumulate unbounded bookkeeping (persist acks, flush flights,
@@ -117,11 +117,19 @@ bitIdentityGrid()
         cells.push_back(cell);
     };
 
+    // Jumps must engage on the chain-bound workloads whatever is
+    // attached: a jump ends before each counter sample and probe draw.
+    auto chainBound = [](WorkloadKind kind) {
+        return kind == WorkloadKind::kGraph ||
+            kind == WorkloadKind::kHashMap ||
+            kind == WorkloadKind::kLinkedList ||
+            kind == WorkloadKind::kStringSwap;
+    };
     for (WorkloadKind kind : allWorkloadKinds()) {
         for (bool tracing : {false, true}) {
             for (Tick conflictPeriod : {0, 2000})
                 add(kind, PersistMode::kLogPSf, true, tracing,
-                    conflictPeriod);
+                    conflictPeriod, 0, chainBound(kind));
         }
     }
     // Non-speculative and barrier-free variants take different stall
@@ -138,14 +146,13 @@ bitIdentityGrid()
     for (WorkloadKind kind : {WorkloadKind::kLinkedList, WorkloadKind::kBTree})
         add(kind, PersistMode::kLogPSf, true, false, 50, 0, false,
             ConflictPolicy::kTrailWriter);
-    // The runs chain jumps speed up: observers off, no conflicts (the
-    // fence_sim benchmark's Base, Log+P+Sf and SP cells).
+    // The fence_sim benchmark's Base and Log+P+Sf cells without SP (its
+    // SP cells are in the grid above).
     for (WorkloadKind kind :
          {WorkloadKind::kGraph, WorkloadKind::kHashMap,
           WorkloadKind::kLinkedList, WorkloadKind::kStringSwap}) {
         for (PersistMode mode : {PersistMode::kNone, PersistMode::kLogPSf})
             add(kind, mode, false, false, 0, 0, true);
-        add(kind, PersistMode::kLogPSf, true, false, 0, 0, true);
     }
     // A crashed run's snapshot must also be skip-schedule independent.
     add(WorkloadKind::kStringSwap, PersistMode::kLogPSf, true, true, 2000,

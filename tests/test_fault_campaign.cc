@@ -368,6 +368,23 @@ TEST(RunOutcomes, InvalidConfigSurfacesAsExceptionRecord)
     EXPECT_EQ(summary.failures[0].index, 1u);
     EXPECT_NE(summary.failures[0].error.find("ssbEntries"),
               std::string::npos);
+
+    // A zero-width stage never moves an op. It is rejected up front,
+    // not left to the no-forward-progress panic, which would take the
+    // sweep worker down with it.
+    std::vector<RunConfig> narrow;
+    for (unsigned CoreConfig::*width :
+         {&CoreConfig::fetchWidth, &CoreConfig::dispatchWidth,
+          &CoreConfig::issueWidth, &CoreConfig::retireWidth}) {
+        RunConfig cfg = fine;
+        cfg.sim.core.*width = 0;
+        EXPECT_THROW(runExperiment(cfg), std::invalid_argument);
+        narrow.push_back(cfg);
+    }
+    for (const SweepRunResult &r : SweepEngine().run(narrow)) {
+        EXPECT_EQ(r.outcome, RunOutcome::kException);
+        EXPECT_NE(r.error.find("width"), std::string::npos) << r.error;
+    }
 }
 
 TEST(RunOutcomes, JitterShiftsDurabilityButPreservesRecovery)

@@ -463,6 +463,15 @@ TEST(Snapshot, CutInsideChainFastPath)
 // ends before the controller event at which a flush completes and the
 // epoch manager commits. The cuts fall mid-jump in a live epoch, on the
 // jump's last cycle, and at the completion tick.
+//
+// Also with observers and probes attached (linked list, SP): once with
+// trace-all, the audit and the cycle account, and once with trail-writer
+// probes that abort speculation, plus the account, cut after the first
+// abort. A jump ends before each counter sample and probe draw and
+// writes the account's ledger cursors as its last cycle would, so the
+// cuts (a jump's first, middle, last and following cycle) save the
+// oracle clock's bytes, and the resumed trace, audit and account equal
+// the serial run's.
 TEST(Snapshot, CutInsideChainJump)
 {
     // Cut `cfg`'s run at each tick of `cuts`, restored from `start_bytes`
@@ -531,12 +540,9 @@ TEST(Snapshot, CutInsideChainJump)
         checkCuts(cfg, serial, start_bytes, start, cuts);
     }
 
-    RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, true);
-    SCOPED_TRACE("SP");
-    RunResult serial = runExperiment(cfg);
-    ASSERT_EQ(serial.stats.aborts, 0u);
-    // Cycles jumped back to back from `at` (restored from `bytes`).
-    auto jumpedFrom = [&](const std::vector<uint8_t> &bytes, Tick at) {
+    // Cycles `cfg` jumps back to back from `at` (restored from `bytes`).
+    auto jumpedFrom = [](const RunConfig &cfg,
+                         const std::vector<uint8_t> &bytes, Tick at) {
         Tick lo = 0, hi = 1;
         while (jumpCycles(cfg, bytes, at, hi) == hi) {
             lo = hi;
@@ -548,6 +554,46 @@ TEST(Snapshot, CutInsideChainJump)
         }
         return lo;
     };
+
+    RunConfig observed = smallConfig(WorkloadKind::kLinkedList, true);
+    enableObservers(observed);
+    RunConfig probed = smallConfig(WorkloadKind::kLinkedList, true);
+    probed.sim.fault.conflict.enabled = true;
+    probed.sim.fault.conflict.period = 50;
+    probed.sim.fault.conflict.seed = 7;
+    probed.sim.fault.conflict.policy = ConflictPolicy::kTrailWriter;
+    probed.account.enabled = true;
+    for (const RunConfig &c : {observed, probed}) {
+        const bool probes = c.sim.fault.conflict.enabled;
+        SCOPED_TRACE(probes ? "SP probes" : "SP observed");
+        RunResult serial = runExperiment(c);
+        ASSERT_EQ(serial.stats.aborts > 0, probes);
+        // The first tick, on a 97-cycle grid (after an abort, with
+        // probes), where a jump of at least 8 cycles starts.
+        Machine producer(c);
+        std::vector<uint8_t> start_bytes;
+        Tick start = 0, span = 0;
+        for (Tick at = 97; start_bytes.empty(); at += 97) {
+            ASSERT_LT(at, serial.stats.cycles) << "no observed jump";
+            producer.runUntil(at);
+            if (producer.now() != at || (probes && !producer.stats().aborts))
+                continue;
+            std::vector<uint8_t> bytes = machineBytes(producer);
+            span = jumpedFrom(c, bytes, at);
+            if (span >= 8) {
+                start = at;
+                start_bytes = std::move(bytes);
+            }
+        }
+        checkCuts(c, serial, start_bytes, start,
+                  {start + 1, start + span / 2, start + span - 1,
+                   start + span});
+    }
+
+    RunConfig cfg = smallConfig(WorkloadKind::kLinkedList, true);
+    SCOPED_TRACE("SP");
+    RunResult serial = runExperiment(cfg);
+    ASSERT_EQ(serial.stats.aborts, 0u);
     // Epochs committed by the cycle at `at` (restored from `bytes`).
     auto commitsAt = [&](const std::vector<uint8_t> &bytes, Tick at) {
         Machine probe(cfg, nullptr, /*deferSetup=*/true);
@@ -571,7 +617,7 @@ TEST(Snapshot, CutInsideChainJump)
         if (producer.now() != at || st.epochsStarted == st.epochsCommitted)
             continue;
         std::vector<uint8_t> bytes = machineBytes(producer);
-        Tick span = jumpedFrom(bytes, at);
+        Tick span = jumpedFrom(cfg, bytes, at);
         if (span >= 8 && commitsAt(bytes, at + span) > 0) {
             start = at;
             end = at + span;
