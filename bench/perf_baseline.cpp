@@ -34,8 +34,9 @@
  *     cycle account), gated like every other suite on throughput and
  *     allocations.
  *
- * Per suite it reports simulated cycles, wall seconds, simulated
- * cycles/second, and heap allocations (counted by the interposed
+ * Per suite it reports simulated cycles, wall seconds (and, as a report
+ * only, the setup and runUntil seconds the machines time themselves),
+ * simulated cycles/second, and heap allocations (counted by the interposed
  * operator new below -- the simulator runs single-threaded here, so the
  * count is deterministic and comparable across builds).
  *
@@ -143,6 +144,11 @@ struct SuiteResult
     double wallSeconds = 0;
     /** Wall time of each run, in grid order. */
     std::vector<double> runSeconds;
+    /** Seconds the runs' machines spent in their constructors
+     *  (functional setup) and in runUntil, per PerfTelemetry, over one
+     *  pass (the last, for interleaved suites); reported, not gated. */
+    double setupSeconds = 0;
+    double simSeconds = 0;
 
     double cyclesPerSec() const
     {
@@ -176,6 +182,8 @@ runSuite(const std::string &name, const std::vector<RunConfig> &grid)
             std::chrono::steady_clock::now() - r0).count());
         result.simCycles += run.stats.cycles;
         result.jumpedCycles += run.perf.chainJumpCycles;
+        result.setupSeconds += run.perf.setupSeconds;
+        result.simSeconds += run.perf.simSeconds;
         result.transHits +=
             run.perf.volatileTransHits + run.perf.durableTransHits;
         result.transMisses +=
@@ -296,6 +304,8 @@ runSingleRunSuite()
     auto t1 = std::chrono::steady_clock::now();
     result.simCycles = run.stats.cycles;
     result.jumpedCycles = run.perf.chainJumpCycles;
+    result.setupSeconds = run.perf.setupSeconds;
+    result.simSeconds = run.perf.simSeconds;
     result.transHits =
         run.perf.volatileTransHits + run.perf.durableTransHits;
     result.transMisses =
@@ -372,11 +382,13 @@ printSuite(const SuiteResult &s)
             static_cast<double>(s.simCycles)
         : 0.0;
     std::printf("%-15s %3u runs  %12llu cycles (%5.1f%% jumped)  %8.3f s"
+                " (setup %.3f s, sim %.3f s)"
                 "  %12.0f cyc/s  %10llu allocs (%llu warm-up + %llu steady)"
                 "  ptc %.2f%%\n",
                 s.name.c_str(), s.runs,
                 static_cast<unsigned long long>(s.simCycles), jumped,
-                s.wallSeconds, s.cyclesPerSec(),
+                s.wallSeconds, s.setupSeconds, s.simSeconds,
+                s.cyclesPerSec(),
                 static_cast<unsigned long long>(s.allocations),
                 static_cast<unsigned long long>(s.warmupAllocations),
                 static_cast<unsigned long long>(s.steadyAllocations()),

@@ -146,13 +146,12 @@ class AddrSet
  * generation clear. Same table discipline as AddrSet (pow-2 slots,
  * linear probing, no erase); used where a structure needs to attach a
  * payload slot to each address it has seen within one episode, e.g. the
- * OpEmitter shadow overlay mapping block address -> pooled block index.
+ * OpEmitter shadow and journal passes mapping block address -> index of
+ * the block's record.
  */
 class AddrIndexMap
 {
   public:
-    static constexpr uint32_t kNotFound = 0xffffffffu;
-
     explicit AddrIndexMap(size_t initialSlots = 64)
     {
         size_t cap = 16;
@@ -161,21 +160,8 @@ class AddrIndexMap
         slots_.resize(cap);
     }
 
-    /** Value stored for `key`, or kNotFound. */
-    uint32_t find(Addr key) const
-    {
-        size_t mask = slots_.size() - 1;
-        for (size_t i = addrHashMix(key) & mask;; i = (i + 1) & mask) {
-            const Slot &slot = slots_[i];
-            if (slot.gen != gen_)
-                return kNotFound;
-            if (slot.key == key)
-                return slot.val;
-        }
-    }
-
-    /** Insert `key` -> `val`; `key` must not already be present. */
-    void insert(Addr key, uint32_t val)
+    /** Value stored for `key`; when absent, store `val` and return it. */
+    uint32_t findOrInsert(Addr key, uint32_t val)
     {
         if ((count_ + 1) * 10 >= slots_.size() * 7)
             grow();
@@ -187,8 +173,10 @@ class AddrIndexMap
                 slot.val = val;
                 slot.gen = gen_;
                 ++count_;
-                return;
+                return val;
             }
+            if (slot.key == key)
+                return slot.val;
         }
     }
 

@@ -1,5 +1,6 @@
 #include "harness/machine.hh"
 
+#include <chrono>
 #include <type_traits>
 #include <utility>
 
@@ -12,10 +13,24 @@
 namespace sp
 {
 
+namespace
+{
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+} // namespace
+
 Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
                  const WorkloadSetup *setup)
     : cfg_(cfg)
 {
+    auto t0 = std::chrono::steady_clock::now();
     validateRunConfig(cfg_);
     SP_ASSERT(!setup || !deferSetup,
               "a deferred-setup machine cannot take a setup state");
@@ -80,6 +95,7 @@ Machine::Machine(const RunConfig &cfg, Tracer *tracer, bool deferSetup,
             cfg_.sim.fault.conflict, base, bytes);
         core_->setProbeSource(injector_.get());
     }
+    setupSeconds_ = secondsSince(t0);
 }
 
 Machine::~Machine() = default;
@@ -88,7 +104,10 @@ bool
 Machine::runUntil(Tick cycleLimit)
 {
     SP_ASSERT(!finished_, "Machine used after finish()");
-    return core_->runUntil(cycleLimit);
+    auto t0 = std::chrono::steady_clock::now();
+    bool done = core_->runUntil(cycleLimit);
+    simSeconds_ += secondsSince(t0);
+    return done;
 }
 
 Tick
@@ -265,6 +284,8 @@ Machine::finish(Tick crashAtCycle)
         result.audit = auditor_->finalize();
     core_->collectPoolStats(result.perf.pools);
     result.perf.chainJumpCycles = core_->chainJumpCycles();
+    result.perf.setupSeconds = setupSeconds_;
+    result.perf.simSeconds = simSeconds_;
     result.perf.volatileTransHits = workload_->image().translationHits();
     result.perf.volatileTransMisses = workload_->image().translationMisses();
     // Translation counters are not moved with the image contents: read

@@ -127,6 +127,9 @@ class Machine
     std::unique_ptr<CycleAccountant> accountant_;
     std::unique_ptr<ConflictInjector> injector_;
     bool finished_ = false;
+    /** PerfTelemetry::setupSeconds and simSeconds, as they accrue. */
+    double setupSeconds_ = 0;
+    double simSeconds_ = 0;
 };
 
 } // namespace sp

@@ -60,6 +60,10 @@ PerfTelemetry::print(std::ostream &os, const std::string &prefix) const
        << ", shutdown " << wpqPeakShutdown << "\n";
     os << prefix << "serial-chain jumped cycles: " << chainJumpCycles
        << "\n";
+    os << prefix << "host seconds: setup " << std::fixed
+       << std::setprecision(4) << setupSeconds << ", timed simulation "
+       << simSeconds << "\n";
+    os.unsetf(std::ios::floatfield);
     for (const PoolStat &p : pools) {
         os << prefix << std::left << std::setw(20) << p.name << std::right
            << " capacity " << std::setw(8) << p.capacity << "  high-water "

@@ -117,6 +117,15 @@ struct PerfTelemetry
      * simulated, not what.
      */
     uint64_t chainJumpCycles = 0;
+    /**
+     * Host seconds, on a steady clock, the machine spent in its
+     * constructor (functional setup, or restoring a captured setup, and
+     * assembly) and inside runUntil. Outside every fingerprint like the
+     * rest of this struct: it says how long the host took, not what it
+     * simulated.
+     */
+    double setupSeconds = 0;
+    double simSeconds = 0;
 
     /** Human-readable table (spcli --cycle-account, bench reports). */
     void print(std::ostream &os, const std::string &prefix = "") const;

@@ -52,50 +52,54 @@ MemImage::operator=(MemImage &&other) noexcept
     return *this;
 }
 
+void
+MemImage::checkIntSize(unsigned size)
+{
+    SP_ASSERT(size >= 1 && size <= 8, "readInt/writeInt size out of range");
+}
+
 MemImage::Page *
 MemImage::findPage(Addr addr)
 {
     uint64_t num = addr / kPageBytes;
-    unsigned slot = num % kTransSlots;
-    if (transNum_[slot] == num) {
+    TransEntry &e = transSlot(num);
+    if (e.num == num) {
         ++transHits_;
-        return transPage_[slot];
+        return e.page;
     }
     ++transMisses_;
     auto it = pages_.find(num);
     if (it == pages_.end())
         return nullptr;
-    transNum_[slot] = num;
-    transPage_[slot] = it->second.get();
-    return transPage_[slot];
+    e = {num, it->second.get()};
+    return e.page;
 }
 
 const MemImage::Page *
 MemImage::findPage(Addr addr) const
 {
     uint64_t num = addr / kPageBytes;
-    unsigned slot = num % kTransSlots;
-    if (transNum_[slot] == num) {
+    TransEntry &e = transSlot(num);
+    if (e.num == num) {
         ++transHits_;
-        return transPage_[slot];
+        return e.page;
     }
     ++transMisses_;
     auto it = pages_.find(num);
     if (it == pages_.end())
         return nullptr;
-    transNum_[slot] = num;
-    transPage_[slot] = it->second.get();
-    return transPage_[slot];
+    e = {num, it->second.get()};
+    return e.page;
 }
 
 MemImage::Page &
 MemImage::ensurePage(Addr addr)
 {
     uint64_t num = addr / kPageBytes;
-    unsigned slot = num % kTransSlots;
-    if (transNum_[slot] == num) {
+    TransEntry &e = transSlot(num);
+    if (e.num == num) {
         ++transHits_;
-        return *transPage_[slot];
+        return *e.page;
     }
     ++transMisses_;
     auto &owned = pages_[num];
@@ -103,8 +107,7 @@ MemImage::ensurePage(Addr addr)
         owned = std::make_unique<Page>();
         owned->fill(0);
     }
-    transNum_[slot] = num;
-    transPage_[slot] = owned.get();
+    e = {num, owned.get()};
     return *owned;
 }
 

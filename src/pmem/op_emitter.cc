@@ -220,50 +220,43 @@ OpEmitter::mutateEmit(const MicroOp &op)
     return false;
 }
 
+uint32_t
+OpEmitter::lookupTouch(Addr blockAddr)
+{
+    // Record each block once: a pass re-reads the same blocks many
+    // times, and sorting the repeats away at its end costs more than
+    // this probe.
+    auto next = static_cast<uint32_t>(touched_.size());
+    uint32_t idx = touchIndex_.findOrInsert(blockAddr, next);
+    if (idx == next)
+        touched_.push_back({blockAddr, kNoOverlay});
+    return idx;
+}
+
 std::array<uint8_t, kBlockBytes> &
 OpEmitter::overlayBlock(Addr blockAddr)
 {
-    uint32_t idx = overlayIndex_.find(blockAddr);
-    if (idx == AddrIndexMap::kNotFound) {
-        idx = overlayCount_++;
-        if (idx == overlayBlocks_.size())
-            overlayBlocks_.emplace_back();
-        overlayIndex_.insert(blockAddr, idx);
+    Touch &t = touch(blockAddr);
+    if (t.overlay == kNoOverlay) {
         // Only writes open overlay blocks: this is the first write to
         // the block in this pass.
+        t.overlay = overlayCount_++;
+        if (t.overlay == overlayBlocks_.size())
+            overlayBlocks_.emplace_back();
         shadowWrites_.push_back(blockAddr);
-        image_.readBlock(blockAddr, overlayBlocks_[idx].data());
+        image_.readBlock(blockAddr, overlayBlocks_[t.overlay].data());
     }
-    return overlayBlocks_[idx];
-}
-
-void
-OpEmitter::recordRead(Addr addr, unsigned size)
-{
-    Addr blk_addr = blockAlign(addr);
-    SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
-              "shadow read crosses a block boundary");
-    // Record each block once: a pass re-reads the same blocks many
-    // times, and sorting the repeats away in endShadow costs more than
-    // this probe.
-    if (blk_addr != lastShadowRead_ &&
-        shadowReadIndex_.find(blk_addr) == AddrIndexMap::kNotFound) {
-        shadowReadIndex_.insert(blk_addr, 0);
-        shadowReads_.push_back(blk_addr);
-    }
-    lastShadowRead_ = blk_addr;
+    return overlayBlocks_[t.overlay];
 }
 
 uint64_t
 OpEmitter::shadowRead(Addr addr, unsigned size)
 {
-    recordRead(addr, size);
-    Addr blk_addr = blockAlign(addr);
-    uint32_t idx = overlayIndex_.find(blk_addr);
-    if (idx == AddrIndexMap::kNotFound)
+    uint32_t overlay = recordRead(addr, size).overlay;
+    if (overlay == kNoOverlay)
         return image_.readInt(addr, size);
     uint64_t v = 0;
-    std::copy_n(overlayBlocks_[idx].data() + blockOffset(addr), size,
+    std::copy_n(overlayBlocks_[overlay].data() + blockOffset(addr), size,
                 reinterpret_cast<uint8_t *>(&v));
     return v;
 }
@@ -284,13 +277,26 @@ OpEmitter::beginPass()
 {
     SP_ASSERT(!shadow_ && !journal_,
               "nested shadow or journal passes are not supported");
-    overlayIndex_.clear();
     overlayCount_ = 0;
     journalStashed_ = false;
-    shadowReadIndex_.clear();
-    lastShadowRead_ = kNoShadowRead;
-    shadowReads_.clear();
     shadowWrites_.clear();
+    touched_.clear();
+    touchIndex_.clear();
+    recent_.fill({kNoBlock, 0});
+}
+
+void
+OpEmitter::collectTouched(ShadowResult &out)
+{
+    std::sort(touched_.begin(), touched_.end(),
+              [](const Touch &a, const Touch &b) { return a.blk < b.blk; });
+    out.touchedBlocks.clear();
+    out.writtenBlocks.clear();
+    for (const Touch &t : touched_) {
+        out.touchedBlocks.push_back(t.blk);
+        if (t.overlay != kNoOverlay)
+            out.writtenBlocks.push_back(t.blk);
+    }
 }
 
 void
@@ -305,14 +311,8 @@ OpEmitter::endShadow(ShadowResult &out)
 {
     SP_ASSERT(shadow_, "endShadow outside a shadow pass");
     shadow_ = false;
-    out.readBlocks.swap(shadowReads_);
-    out.writtenBlocks.swap(shadowWrites_);
-    overlayIndex_.clear();
+    collectTouched(out);
     overlayCount_ = 0;
-    shadowReadIndex_.clear();
-    // Both lists hold each block once already; only the order is left.
-    std::sort(out.readBlocks.begin(), out.readBlocks.end());
-    std::sort(out.writtenBlocks.begin(), out.writtenBlocks.end());
 }
 
 void
@@ -329,12 +329,8 @@ OpEmitter::endJournal(ShadowResult &out)
     SP_ASSERT(journal_, "endJournal outside a journal pass");
     journal_ = false;
     journalStashed_ = true;
-    out.readBlocks.swap(shadowReads_);
-    // The stash stays indexed by shadowWrites_, so copy rather than swap.
-    out.writtenBlocks.assign(shadowWrites_.begin(), shadowWrites_.end());
-    shadowReadIndex_.clear();
-    std::sort(out.readBlocks.begin(), out.readBlocks.end());
-    std::sort(out.writtenBlocks.begin(), out.writtenBlocks.end());
+    // The stash stays indexed by shadowWrites_, which this leaves alone.
+    collectTouched(out);
 }
 
 void
@@ -450,14 +446,12 @@ OpEmitter::memcpy(Addr dst, Addr src, unsigned len, Handle dep)
     // block-sized pieces. A copy whose ranges overlap keeps the
     // chunk-by-chunk path below, which defines its result, and so do
     // shadow and journal passes, which record the blocks it touches.
-    if (muted_ && !shadow_ && !journal_ &&
-        (dst + len <= src || src + len <= dst)) {
-        stores_ += (len + 7) / 8; // the chunked path's store count
+    if (mutedDirect() && (dst + len <= src || src + len <= dst)) {
         uint8_t buf[kBlockBytes];
         for (unsigned off = 0; off < len; off += kBlockBytes) {
             unsigned chunk = std::min<unsigned>(kBlockBytes, len - off);
             image_.read(src + off, buf, chunk);
-            image_.write(dst + off, buf, chunk);
+            storeBytes(dst + off, buf, chunk);
         }
         return;
     }
@@ -472,6 +466,15 @@ OpEmitter::memcpy(Addr dst, Addr src, unsigned len, Handle dep)
 }
 
 void
+OpEmitter::storeBytes(Addr addr, const void *bytes, unsigned len)
+{
+    SP_ASSERT(mutedDirect(), "storeBytes needs a muted emitter outside "
+              "shadow and journal passes");
+    stores_ += (len + 7) / 8;
+    image_.write(addr, bytes, len);
+}
+
+void
 OpEmitter::clwb(Addr addr)
 {
     if (mode_ < PersistMode::kLogP || muted_ || shadow_)
@@ -482,7 +485,7 @@ OpEmitter::clwb(Addr addr)
 void
 OpEmitter::clwbRange(Addr addr, unsigned len)
 {
-    if (mode_ < PersistMode::kLogP || len == 0)
+    if (mode_ < PersistMode::kLogP || len == 0 || muted_ || shadow_)
         return;
     Addr first = blockAlign(addr);
     Addr last = blockAlign(addr + len - 1);

@@ -27,6 +27,7 @@
 #include "isa/microop.hh"
 #include "isa/program.hh"
 #include "mem/mem_image.hh"
+#include "sim/logging.hh"
 #include "sim/pool.hh"
 
 namespace sp
@@ -227,7 +228,9 @@ class OpEmitter : public Program
      */
     struct ShadowResult
     {
-        std::vector<Addr> readBlocks;
+        /** Every block read or written. */
+        std::vector<Addr> touchedBlocks;
+        /** The blocks written, a subset of touchedBlocks. */
         std::vector<Addr> writtenBlocks;
     };
 
@@ -242,7 +245,7 @@ class OpEmitter : public Program
     ShadowResult endShadow();
 
     /**
-     * Allocation-free variant: swaps the touched-block lists into `out`
+     * Allocation-free variant: fills the touched-block lists of `out`
      * (sorted, deduplicated). A caller that reuses the same ShadowResult
      * recycles its vector capacity across transactions.
      */
@@ -261,7 +264,7 @@ class OpEmitter : public Program
     void beginJournal();
 
     /**
-     * Leave journal mode: swaps the touched-block lists into `out`
+     * Leave journal mode: fills the touched-block lists of `out`
      * (sorted, deduplicated, as endShadow does). The stashed pre-images
      * stay until the next beginShadow/beginJournal.
      */
@@ -279,6 +282,19 @@ class OpEmitter : public Program
      * readings to learn whether code in between wrote anything.
      */
     uint64_t stores() const { return stores_; }
+
+    /**
+     * Muted and outside shadow and journal passes: a store only writes
+     * the image, so a run of them may be made as one write.
+     */
+    bool mutedDirect() const { return muted_ && !shadow_ && !journal_; }
+
+    /**
+     * Write `len` bytes at `addr` in one image write, standing for the
+     * 8-byte stores (the last one short) that storing them word by word
+     * makes; stores() counts those. Requires mutedDirect().
+     */
+    void storeBytes(Addr addr, const void *bytes, unsigned len);
 
     /** `emitter.queue` counts queue records: a chain run is one. */
     void
@@ -318,8 +334,6 @@ class OpEmitter : public Program
     /** The pre-images of the last journal pass are still stashed. */
     bool journalStashed_ = false;
     uint64_t stores_ = 0;
-    /** blockAddr -> index into overlayBlocks_; cleared per pass. */
-    AddrIndexMap overlayIndex_;
     /**
      * Pooled block storage; grows to high-water, then reused. A shadow
      * pass keeps its overlay here, a journal pass its pre-images.
@@ -327,21 +341,58 @@ class OpEmitter : public Program
     std::vector<std::array<uint8_t, kBlockBytes>> overlayBlocks_;
     /** Blocks of overlayBlocks_ in use this pass. */
     uint32_t overlayCount_ = 0;
-    /** Blocks already in shadowReads_; cleared per shadow pass. */
-    AddrIndexMap shadowReadIndex_;
-    /** Block of the previous shadow read, which skips the probe. */
-    static constexpr Addr kNoShadowRead = ~Addr{0};
-    Addr lastShadowRead_ = kNoShadowRead;
-    /**
-     * Blocks read / written this pass, each once, in first-touch order.
-     * shadowWrites_[i] is the block whose contents overlayBlocks_[i]
-     * holds.
-     */
-    std::vector<Addr> shadowReads_;
+    /** shadowWrites_[i] is the block whose contents overlayBlocks_[i]
+     *  holds, in first-write order. */
     std::vector<Addr> shadowWrites_;
 
+    /** A block touched this pass, and its overlay block once written. */
+    struct Touch
+    {
+        Addr blk;
+        uint32_t overlay;
+    };
+    static constexpr uint32_t kNoOverlay = ~0u;
+    /** Blocks touched this pass, each once, in first-touch order. */
+    std::vector<Touch> touched_;
+    /** blockAddr -> index into touched_; cleared per pass. */
+    AddrIndexMap touchIndex_;
+    /**
+     * Direct-mapped filter of recently touched blocks in front of
+     * touchIndex_. Tree code alternates between a node and its child,
+     * which a one-entry filter misses on every access; 64 slots keep a
+     * whole root-to-leaf path.
+     */
+    struct RecentTouch
+    {
+        Addr blk;
+        uint32_t idx;
+    };
+    static constexpr unsigned kRecentSlots = 64;
+    static constexpr Addr kNoBlock = ~Addr{0};
+    std::array<RecentTouch, kRecentSlots> recent_{};
+
     void beginPass();
-    void recordRead(Addr addr, unsigned size);
+    /** Sort touched_ once and fill both lists of `out`. */
+    void collectTouched(ShadowResult &out);
+    /** The record of `blockAddr` this pass, made on its first touch. */
+    Touch &touch(Addr blockAddr)
+    {
+        RecentTouch &recent =
+            recent_[(blockAddr / kBlockBytes) % kRecentSlots];
+        if (recent.blk != blockAddr)
+            recent = {blockAddr, lookupTouch(blockAddr)};
+        return touched_[recent.idx];
+    }
+    /** touch() past the filter: the index of the block's record. */
+    uint32_t lookupTouch(Addr blockAddr);
+    /** touch() for a read of [addr, addr+size). */
+    Touch &recordRead(Addr addr, unsigned size)
+    {
+        Addr blk_addr = blockAlign(addr);
+        SP_ASSERT(blockAlign(addr + size - 1) == blk_addr,
+                  "shadow read crosses a block boundary");
+        return touch(blk_addr);
+    }
     uint64_t shadowRead(Addr addr, unsigned size);
     void shadowWrite(Addr addr, uint64_t value, unsigned size);
     std::array<uint8_t, kBlockBytes> &overlayBlock(Addr blockAddr);

@@ -1,6 +1,7 @@
 #include "pmem/tx.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "pmem/log_format.hh"
@@ -31,6 +32,27 @@ Tx::appendEntry(Addr addr, unsigned len)
     unsigned hdr = checks_ ? kLogEntryHdrChecksummed : kLogEntryHdrLegacy;
     SP_ASSERT(cursor_ + hdr + padded <= kLogBase + kLogBytes,
               "undo log exhausted");
+    Addr data = cursor_ + hdr;
+
+    if (em_.mutedDirect() && (addr + len <= cursor_ || addr >= data + len)) {
+        // Muted, the stores below emit nothing, so write the entry the
+        // way they leave it in one image write: descriptor words, then
+        // the pre-image, with the pad bytes past `len` untouched.
+        entryBuf_.resize(hdr + len);
+        uint64_t desc[2] = {addr, len};
+        std::memcpy(entryBuf_.data(), desc, sizeof(desc));
+        em_.image().read(addr, entryBuf_.data() + hdr, len);
+        if (checks_) {
+            uint64_t crcw =
+                packEntryCrc(logEntryDescCrc(addr, len),
+                             crc32(entryBuf_.data() + hdr, len));
+            std::memcpy(entryBuf_.data() + sizeof(desc), &crcw, 8);
+        }
+        em_.storeBytes(cursor_, entryBuf_.data(), hdr + len);
+        cursor_ = data + padded;
+        ++count_;
+        return;
+    }
 
     // Log-management code: entry setup, cursor arithmetic.
     em_.aluChain(12);
@@ -43,14 +65,13 @@ Tx::appendEntry(Addr addr, unsigned len)
         // below copies) plus the descriptor, so a corrupt length can
         // never silently derail the recovery walk. The chain models the
         // software checksum cost.
-        crcBuf_.resize(len);
-        em_.image().read(addr, crcBuf_.data(), len);
+        entryBuf_.resize(len);
+        em_.image().read(addr, entryBuf_.data(), len);
         uint64_t crcw = packEntryCrc(logEntryDescCrc(addr, len),
-                                     crc32(crcBuf_.data(), len));
+                                     crc32(entryBuf_.data(), len));
         em_.store(cursor_ + 16, crcw, 8);
         em_.aluChain(4 + len / 8);
     }
-    Addr data = cursor_ + hdr;
     em_.memcpy(data, addr, len);
 
     // clwb every block the entry touches (Table 1: one clwb per 64B

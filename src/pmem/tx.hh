@@ -102,10 +102,10 @@ class Tx
     bool checks_ = false;
     /** Covered ranges whose CRC slots step 3 must refresh. */
     std::vector<std::pair<Addr, unsigned>> tracked_;
-    // Checksum scratch, reused across transactions so the steady state
-    // allocates nothing: logged pre-image bytes, commit-time lines and
-    // their CRC slot blocks.
-    std::vector<uint8_t> crcBuf_;
+    // Scratch reused across transactions so the steady state allocates
+    // nothing: the entry being logged (its pre-image bytes, and muted
+    // its whole image), commit-time lines and their CRC slot blocks.
+    std::vector<uint8_t> entryBuf_;
     std::vector<Addr> lines_;
     std::vector<Addr> slotBlocks_;
 

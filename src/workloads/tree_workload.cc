@@ -78,10 +78,8 @@ TreeWorkload::runJournalTx(const std::function<void()> &body)
         return (blk < kLogBase || blk >= kLogBase + kLogBytes) &&
             blk != blockAlign(kGenerationAddr);
     };
-    SP_ASSERT(std::all_of(shadow_.readBlocks.begin(),
-                          shadow_.readBlocks.end(), outside_log) &&
-                  std::all_of(shadow_.writtenBlocks.begin(),
-                              shadow_.writtenBlocks.end(), outside_log),
+    SP_ASSERT(std::all_of(shadow_.touchedBlocks.begin(),
+                          shadow_.touchedBlocks.end(), outside_log),
               "journalled transaction touched the undo log or the "
               "generation block");
     em_.exchangeJournal();
@@ -97,18 +95,17 @@ TreeWorkload::buildLogSet()
     fresh_.assign(freshNodes_.begin(), freshNodes_.end());
     std::sort(fresh_.begin(), fresh_.end());
 
-    // Log set: everything read or written, minus freshly allocated nodes
-    // (their pre-state is garbage and undo never needs it) and minus the
-    // generation block (logged separately).
-    // Both touched lists come back sorted and duplicate-free.
+    // Log set: everything read or written (sorted, duplicate-free),
+    // minus freshly allocated nodes (their pre-state is garbage and undo
+    // never needs it) and minus the generation block (logged
+    // separately).
     logSet_.clear();
-    std::set_union(shadow_.readBlocks.begin(), shadow_.readBlocks.end(),
-                   shadow_.writtenBlocks.begin(),
-                   shadow_.writtenBlocks.end(), std::back_inserter(logSet_));
-    std::erase_if(logSet_, [&](Addr a) {
-        return std::binary_search(fresh_.begin(), fresh_.end(), a) ||
-            a == blockAlign(kGenerationAddr);
-    });
+    std::copy_if(shadow_.touchedBlocks.begin(), shadow_.touchedBlocks.end(),
+                 std::back_inserter(logSet_), [&](Addr a) {
+                     return !std::binary_search(fresh_.begin(), fresh_.end(),
+                                                a) &&
+                         a != blockAlign(kGenerationAddr);
+                 });
 }
 
 void

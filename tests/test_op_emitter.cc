@@ -350,7 +350,7 @@ TEST(OpEmitter, ShadowRecordsReadsAndWrites)
     em.load(0x1008, 8); // same block
     em.store(0x2000, 1, 8);
     auto result = em.endShadow();
-    EXPECT_EQ(result.readBlocks, std::vector<Addr>({0x1000}));
+    EXPECT_EQ(result.touchedBlocks, std::vector<Addr>({0x1000, 0x2000}));
     EXPECT_EQ(result.writtenBlocks, std::vector<Addr>({0x2000}));
 }
 
@@ -391,15 +391,15 @@ TEST(OpEmitter, ShadowListsAreSortedAndUnique)
         em.load(0x5000, 8); // read of a written block
     }
     auto result = em.endShadow();
-    EXPECT_EQ(result.readBlocks,
-              std::vector<Addr>({0x1000, 0x3000, 0x5000}));
+    EXPECT_EQ(result.touchedBlocks,
+              std::vector<Addr>({0x1000, 0x3000, 0x4000, 0x5000}));
     EXPECT_EQ(result.writtenBlocks, std::vector<Addr>({0x4000, 0x5000}));
 
     // The next pass starts empty, even for the block read last.
     em.beginShadow();
     em.load(0x5000, 8);
     result = em.endShadow();
-    EXPECT_EQ(result.readBlocks, std::vector<Addr>({0x5000}));
+    EXPECT_EQ(result.touchedBlocks, std::vector<Addr>({0x5000}));
     EXPECT_TRUE(result.writtenBlocks.empty());
 }
 
@@ -476,11 +476,11 @@ TEST(OpEmitter, JournalRecordsWhatShadowRecords)
     journalBody(journalEm);
     journalEm.endJournal(journal);
 
-    EXPECT_EQ(journal.readBlocks, shadow.readBlocks);
+    EXPECT_EQ(journal.touchedBlocks, shadow.touchedBlocks);
     EXPECT_EQ(journal.writtenBlocks, shadow.writtenBlocks);
     // The memcpy's source and destination blocks are recorded too.
-    EXPECT_TRUE(std::binary_search(journal.readBlocks.begin(),
-                                   journal.readBlocks.end(), 0x60c0));
+    EXPECT_TRUE(std::binary_search(journal.touchedBlocks.begin(),
+                                   journal.touchedBlocks.end(), 0x60c0));
     EXPECT_TRUE(std::binary_search(journal.writtenBlocks.begin(),
                                    journal.writtenBlocks.end(), 0x8080));
     EXPECT_TRUE(drain(journalEm).empty());

@@ -115,6 +115,9 @@ TEST(Runner, ShutdownWpqOverfillIsTelemetryNotAWarning)
     EXPECT_EQ(err, "");
     EXPECT_GT(r.perf.wpqPeakShutdown, cfg.sim.mem.wpqEntries);
     EXPECT_LE(r.perf.wpqPeakTimed, r.perf.wpqPeakShutdown);
+    // The machine's own host timing rides in the same telemetry.
+    EXPECT_GT(r.perf.setupSeconds, 0.0);
+    EXPECT_GT(r.perf.simSeconds, 0.0);
 
     std::ostringstream os;
     r.perf.print(os);
@@ -123,6 +126,7 @@ TEST(Runner, ShutdownWpqOverfillIsTelemetryNotAWarning)
                             ", shutdown " +
                             std::to_string(r.perf.wpqPeakShutdown)),
               std::string::npos);
+    EXPECT_NE(os.str().find("host seconds: setup "), std::string::npos);
 }
 
 TEST(Report, CsvMatchesTable)

@@ -8,9 +8,11 @@
 
 #include <algorithm>
 
+#include "pmem/log_format.hh"
 #include "pmem/op_emitter.hh"
 #include "pmem/recovery.hh"
 #include "pmem/tx.hh"
+#include "sim/snapshot.hh"
 
 using namespace sp;
 
@@ -102,31 +104,98 @@ TEST(Tx, InactiveBelowLogMode)
     EXPECT_EQ(img.readInt(kLogBase, 8), 0u);
 }
 
-TEST(Tx, PackedEntryLayout)
+namespace
+{
+
+/** What the PackedEntryLayout transaction leaves behind. */
+struct LayoutRun
 {
     MemImage img;
+    /** Tx::serialize bytes: entry count, cursor, tracked ranges. */
+    std::vector<uint8_t> txState;
+    uint64_t stores = 0;
+    unsigned entries = 0;
+};
+
+/**
+ * Log three ranges (8, 16 and 13 bytes, the last leaving three pad
+ * bytes) and seal, on a muted or an emitting emitter. The entry region
+ * starts filled with 0xab so a written pad byte would show.
+ */
+LayoutRun
+runLayoutTx(bool muted, bool checksums)
+{
+    LayoutRun run;
+    MemImage &img = run.img;
+    for (Addr a = kLogEntryBase; a < kLogEntryBase + 512; a += 8)
+        img.writeInt(a, 0xababababababababull, 8);
     img.writeInt(0x20000, 0x1111, 8);
     img.writeInt(0x30000, 0x2222, 8);
-    OpEmitter em(img, PersistMode::kLog);
+    img.writeInt(0x30008, 0x3333, 8);
+    for (unsigned i = 0; i < 13; ++i)
+        img.writeInt(kHeapBase + 0x80 + i, 0x40 + i, 1);
+    OpEmitter em(img, PersistMode::kLogPSf);
+    em.setMuted(muted);
     Tx tx(em);
+    tx.setChecksums(checksums);
     tx.begin();
     tx.logRange(0x20000, 8);
     tx.logRange(0x30000, 16);
+    tx.logRange(kHeapBase + 0x80, 13);
     tx.seal();
-    EXPECT_EQ(tx.entries(), 2u);
-    // Entry 0 at kLogBase+64: {addr, len, data[8]}.
-    Addr e0 = kLogBase + 64;
-    EXPECT_EQ(img.readInt(e0, 8), 0x20000u);
-    EXPECT_EQ(img.readInt(e0 + 8, 8), 8u);
-    EXPECT_EQ(img.readInt(e0 + 16, 8), 0x1111u);
-    // Entry 1 immediately after (16 + 8 bytes).
-    Addr e1 = e0 + 24;
-    EXPECT_EQ(img.readInt(e1, 8), 0x30000u);
-    EXPECT_EQ(img.readInt(e1 + 8, 8), 16u);
-    EXPECT_EQ(img.readInt(e1 + 16, 8), 0x2222u);
-    // Header: logged_bit set, count 2.
-    EXPECT_EQ(img.readInt(kLogBase, 8), 1u);
-    EXPECT_EQ(img.readInt(kLogBase + 8, 8), 2u);
+    SnapshotWriter w;
+    tx.serialize(w);
+    run.txState = w.take();
+    run.stores = em.stores();
+    run.entries = tx.entries();
+    return run;
+}
+
+} // namespace
+
+TEST(Tx, PackedEntryLayout)
+{
+    for (bool muted : {false, true}) {
+        SCOPED_TRACE(muted ? "muted" : "emitting");
+        LayoutRun run = runLayoutTx(muted, false);
+        const MemImage &img = run.img;
+        EXPECT_EQ(run.entries, 3u);
+        // Entry 0 at kLogBase+64: {addr, len, data[8]}.
+        Addr e0 = kLogBase + 64;
+        EXPECT_EQ(img.readInt(e0, 8), 0x20000u);
+        EXPECT_EQ(img.readInt(e0 + 8, 8), 8u);
+        EXPECT_EQ(img.readInt(e0 + 16, 8), 0x1111u);
+        // Entry 1 immediately after (16 + 8 bytes).
+        Addr e1 = e0 + 24;
+        EXPECT_EQ(img.readInt(e1, 8), 0x30000u);
+        EXPECT_EQ(img.readInt(e1 + 8, 8), 16u);
+        EXPECT_EQ(img.readInt(e1 + 16, 8), 0x2222u);
+        EXPECT_EQ(img.readInt(e1 + 24, 8), 0x3333u);
+        // Entry 2 after 16 + 16 bytes: 13 data bytes, padded to 16; the
+        // pad bytes keep what was there.
+        Addr e2 = e1 + 32;
+        EXPECT_EQ(img.readInt(e2, 8), kHeapBase + 0x80);
+        EXPECT_EQ(img.readInt(e2 + 8, 8), 13u);
+        for (unsigned i = 0; i < 13; ++i)
+            EXPECT_EQ(img.readInt(e2 + 16 + i, 1), 0x40u + i);
+        for (unsigned i = 13; i < 16; ++i)
+            EXPECT_EQ(img.readInt(e2 + 16 + i, 1), 0xabu);
+        // Header: logged_bit set, count 3.
+        EXPECT_EQ(img.readInt(kLogBase, 8), 1u);
+        EXPECT_EQ(img.readInt(kLogBase + 8, 8), 3u);
+    }
+    // A muted emitter writes each entry in one image write; it must
+    // leave the bytes, entry count, cursor and store count that the
+    // emitted stores leave, in both log formats.
+    for (bool checksums : {false, true}) {
+        SCOPED_TRACE(checksums ? "checksums on" : "checksums off");
+        LayoutRun loud = runLayoutTx(false, checksums);
+        LayoutRun quiet = runLayoutTx(true, checksums);
+        EXPECT_TRUE(sameContents(quiet.img, loud.img));
+        EXPECT_EQ(quiet.entries, loud.entries);
+        EXPECT_EQ(quiet.txState, loud.txState);
+        EXPECT_EQ(quiet.stores, loud.stores);
+    }
 }
 
 TEST(Recovery, NoopWhenBitClear)

@@ -18,11 +18,21 @@ prints three tables:
 Several files (say, one per forked process) are summed. Build the
 profiled binary with `-g` for names and lines; without it the tables
 fall back to `??`.
+
+Without debug information addr2line names the nearest preceding
+symbol, however far away it ends. In a stripped library that charges
+local functions (libc's IFUNC-selected memcpy/memmove, for one) to an
+unrelated export. So a PC without line information that lies past the
+end of its symbol (sizes from `nm -S`, dynamic and static tables) is
+reported as `module+0x...`: the start of the unwind-table (.eh_frame)
+range holding it, or the PC itself when none does.
 """
 
 import argparse
+import bisect
 import collections
 import os
+import re
 import subprocess
 import sys
 
@@ -71,6 +81,62 @@ def resolve(module, addrs):
     return chains
 
 
+def symbol_reach(module):
+    """Sorted symbol starts and, for each, the furthest end of any sized
+    symbol (dynamic or static table) starting at or before it."""
+    spans = set()
+    for table in (["-D"], []):
+        proc = subprocess.run(
+            ["nm", *table, "-S", "--defined-only", module],
+            capture_output=True, text=True)
+        for line in proc.stdout.splitlines():
+            fields = line.split()
+            if len(fields) < 4:
+                continue
+            try:
+                start, size = int(fields[0], 16), int(fields[1], 16)
+            except ValueError:
+                continue
+            if size:
+                spans.add((start, start + size))
+    starts, reach = [], []
+    for start, end in sorted(spans):
+        starts.append(start)
+        reach.append(max(end, reach[-1]) if reach else end)
+    return starts, reach
+
+
+def unwind_ranges(module):
+    """Sorted (start, end) of the module's .eh_frame FDE ranges."""
+    proc = subprocess.run(["readelf", "--debug-dump=frames", module],
+                          capture_output=True, text=True)
+    found = re.findall(r"FDE .*pc=([0-9a-f]+)\.\.([0-9a-f]+)", proc.stdout)
+    return sorted((int(a, 16), int(b, 16)) for a, b in found)
+
+
+def unsized_to_offsets(module, chains):
+    """Rename line-less frames that lie past every symbol's end."""
+    suspects = [a for a, chain in chains.items()
+                if chain and chain[-1][1].startswith("??")]
+    if not suspects:
+        return
+    starts, reach = symbol_reach(module)
+    if not starts:
+        return
+    ranges = None
+    for addr in suspects:
+        i = bisect.bisect_right(starts, addr) - 1
+        if i >= 0 and addr < reach[i]:
+            continue
+        if ranges is None:
+            ranges = unwind_ranges(module)
+        j = bisect.bisect_right(ranges, (addr, float("inf"))) - 1
+        inside = j >= 0 and ranges[j][0] <= addr < ranges[j][1]
+        start = ranges[j][0] if inside else addr
+        chains[addr] = [("%s+0x%x" % (os.path.basename(module), start),
+                         "??:0")]
+
+
 def short(path_line):
     path, _, line = path_line.rpartition(":")
     parts = path.split("/")
@@ -113,6 +179,8 @@ def main():
     lines = collections.Counter()
     for module, addrs in sorted(by_module.items()):
         chains = resolve(module, sorted(addrs))
+        if module != "?" and os.path.exists(module):
+            unsized_to_offsets(module, chains)
         for addr in addrs:
             chain = chains.get(addr) or [("??", "??:0")]
             n = counts[(module, addr)]
