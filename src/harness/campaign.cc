@@ -66,7 +66,10 @@ struct Prep
     Tick refCycles = 0;
     /** Generation the reference run's volatile state reached. */
     uint64_t refGeneration = 0;
-    /** Final durable image hash of the golden non-speculative run. */
+    /** Final durable image of the golden non-speculative run (owned by
+     *  the campaign's prep results, alive until it returns) and its
+     *  hash. */
+    const MemImage *golden = nullptr;
     uint64_t goldenHash = 0;
     /** Checksums-on variant (media cells only; unused otherwise). */
     RunConfig csBase;
@@ -161,7 +164,9 @@ runCrashCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
 }
 
 /** Execute one conflict cell: run under the adversary, compare final
- *  durable state against the golden non-speculative run. */
+ *  durable state against the golden non-speculative run. Comparing the
+ *  images is exact and cheaper than hashing a dense one, so only a
+ *  mismatch pays for hash(). */
 void
 runConflictCell(const Cell &cell, const Prep &prep,
                 const WorkloadSetup &setup, CampaignCellResult &out)
@@ -174,8 +179,9 @@ runConflictCell(const Cell &cell, const Prep &prep,
     out.watchdogDegradations = r.stats.watchdogDegradations;
     if (!r.completed)
         return; // kMaxCycles: liveness failure, finalStateMatched stays false
-    out.imageHash = r.durable.hash();
-    out.finalStateMatched = out.imageHash == prep.goldenHash;
+    out.finalStateMatched = sameContents(r.durable, *prep.golden);
+    out.imageHash =
+        out.finalStateMatched ? prep.goldenHash : r.durable.hash();
     if (!out.finalStateMatched)
         out.error = "final durable image differs from the golden run";
 }
@@ -358,6 +364,7 @@ runFaultCampaign(const CampaignOptions &opts)
                   ref.ok ? golden.error : ref.error);
         preps[i].refCycles = ref.run.stats.cycles;
         preps[i].refGeneration = ref.run.functionalGeneration;
+        preps[i].golden = &golden.run.durable;
         preps[i].goldenHash = golden.run.durable.hash();
         if (opts.mediaFaults) {
             const SweepRunResult &cs = prepRuns[stride * i + 2];

@@ -1,6 +1,7 @@
 #include "mem/mem_image.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -215,23 +216,50 @@ MemImage::writeBlock(Addr blockAddr, const uint8_t *in)
     write(blockAddr, in, kBlockBytes);
 }
 
+namespace
+{
+
+/**
+ * Slice-by-8 tables: kCrcTables[0] is the byte-at-a-time table, and
+ * kCrcTables[k][b] is the CRC of byte `b` followed by k zero bytes, so
+ * eight lookups fold a whole 8-byte word into the running CRC.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrcTables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (unsigned k = 1; k < 8; ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+    return t;
+}();
+
+} // namespace
+
 uint32_t
 crc32(const void *data, size_t size, uint32_t seed)
 {
-    static const auto table = [] {
-        std::array<uint32_t, 256> t{};
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto &t = kCrcTables;
     uint32_t crc = ~seed;
     const auto *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        uint64_t w;
+        std::memcpy(&w, p, 8);
+        if constexpr (std::endian::native == std::endian::big)
+            w = __builtin_bswap64(w);
+        uint32_t lo = static_cast<uint32_t>(w) ^ crc;
+        uint32_t hi = static_cast<uint32_t>(w >> 32);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+            t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+            t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^
+            t[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
     return ~crc;
 }
 

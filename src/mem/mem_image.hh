@@ -210,15 +210,25 @@ class MemImage
      * present pages are cached: a negative entry would go stale the
      * moment ensurePage() materializes the page elsewhere.
      *
-     * The slot is the page number modulo the slot count, so pages a
-     * multiple of kTransSlots apart share a slot. The undo log starts
-     * at page 0x10001 and the heap 256 pages (the 1 MiB log region)
-     * later, so at 128 or 256 slots every undo-log entry evicted the
-     * heap page it copies from: logged tree setup missed 7% of its
-     * lookups at 0.06 scale (AT Log+P+Sf: 70,316 misses against 55 for
-     * Base) and seed_sweep 9.3%. At 512 slots the log and the first
-     * 1 MiB of the heap map to distinct slots, and AT Log+P+Sf setup
-     * misses 110 times.
+     * Below 4 GiB the slot is the page number modulo the slot count,
+     * so pages a multiple of kTransSlots apart share a slot. The undo
+     * log starts at page 0x10001 and the heap 256 pages (the 1 MiB log
+     * region) later, so at 128 or 256 slots every undo-log entry
+     * evicted the heap page it copies from: logged tree setup missed 7%
+     * of its lookups at 0.06 scale (AT Log+P+Sf: 70,316 misses against
+     * 55 for Base) and seed_sweep 9.3%. At 512 slots the log and the
+     * first 1 MiB of the heap map to distinct slots, and AT Log+P+Sf
+     * setup misses 110 times.
+     *
+     * The checksummed format's CRC slot table (kCrcBase in
+     * pmem/layout.hh) starts 2^20 pages above kHeapBase, and 512
+     * divides 2^20, so under the plain modulo the first heap pages and
+     * the slot-table pages covering them shared slots: checksummed
+     * AT/BT/RT Log+P+Sf setup missed 13.4% / 3.2% / 15.9% of lookups.
+     * transSlot() therefore folds the page number's bits from 2^20 up
+     * into the index; moving kCrcBase instead would change checksummed
+     * image bytes. Pages below 4 GiB (metadata, log and all but the top
+     * of the heap) have no such bits and keep their modulo slot.
      */
     static constexpr unsigned kTransSlots = 512;
 
@@ -237,10 +247,10 @@ class MemImage
 
     void resetTranslationCache() { trans_.fill({kNoPageNum, nullptr}); }
 
-    /** The slot that caches page `num`. */
+    /** The slot that caches page `num` (see kTransSlots). */
     TransEntry &transSlot(uint64_t num) const
     {
-        return trans_[num % kTransSlots];
+        return trans_[(num ^ ((num >> 20) << 7)) % kTransSlots];
     }
 
     /** Assert that readInt/writeInt's `size` is 1 to 8. */

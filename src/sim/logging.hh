@@ -52,6 +52,18 @@ format(const Args &...args)
     return os.str();
 }
 
+/**
+ * SP_ASSERT's failure path. Out of line and cold, so the ostringstream
+ * formatting costs the asserting function neither frame space nor
+ * inlining budget.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char *file, int line, const Args &...args)
+{
+    panicImpl(file, line, format(args...));
+}
+
 } // namespace detail
 } // namespace sp
 
@@ -64,11 +76,10 @@ format(const Args &...args)
 /** Assert a simulator invariant; compiled in all build types. */
 #define SP_ASSERT(cond, ...)                                             \
     do {                                                                 \
-        if (!(cond)) {                                                   \
-            ::sp::panicImpl(__FILE__, __LINE__,                          \
-                            ::sp::detail::format("assertion failed: ",   \
-                                                 #cond, " ",             \
-                                                 ##__VA_ARGS__));        \
+        if (__builtin_expect(!(cond), 0)) {                              \
+            ::sp::detail::assertFailed(__FILE__, __LINE__,               \
+                                       "assertion failed: ", #cond, " ", \
+                                       ##__VA_ARGS__);                   \
         }                                                                \
     } while (0)
 

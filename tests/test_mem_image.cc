@@ -133,6 +133,24 @@ TEST(MemImage, LogAndHeapPagesDoNotAliasInTranslationCache)
     EXPECT_LE(img.translationMisses(), 2u);
 }
 
+// The checksummed format's CRC slot table starts 2^20 pages above the
+// heap, a multiple of the slot count; a heap line and its CRC slot are
+// touched together by every checksummed store, so a plain modulo index
+// makes each access evict the other page.
+TEST(MemImage, CrcSlotTableDoesNotAliasHeapInTranslationCache)
+{
+    MemImage img;
+    Addr slot = crcSlotAddr(kHeapBase);
+    img.writeInt(kHeapBase, 1, 8);
+    img.writeInt(slot, 2, 8);
+    uint64_t sum = 0;
+    for (int round = 0; round < 1000; ++round)
+        sum += img.readInt(kHeapBase, 8) + img.readInt(slot, 8);
+    EXPECT_EQ(sum, 3000u);
+    // The two writes that made the pages miss; no read does.
+    EXPECT_LE(img.translationMisses(), 2u);
+}
+
 // hash() must be a pure function of image *contents*: page-table
 // iteration order (which varies with insertion order and rehash
 // history) must never leak into it.
@@ -205,6 +223,25 @@ TEST(MemImage, SameContentsSeesOneByteEitherWay)
     c.writeInt(0x900000, 0x80, 1);
     EXPECT_FALSE(sameContents(a, c));
     EXPECT_FALSE(sameContents(c, a));
+}
+
+// Conflict cells take the golden hash whenever sameContents() holds,
+// so equal contents must imply an equal hash, whichever pages are
+// resident.
+TEST(MemImage, SameContentsImpliesEqualHash)
+{
+    MemImage absent;
+    absent.writeInt(kHeapBase, 0x5a5a, 8);
+    MemImage zeroPage = absent;
+    zeroPage.writeInt(kHeapBase + 3 * MemImage::kPageBytes, 0, 8);
+    ASSERT_EQ(absent.pageCount() + 1, zeroPage.pageCount());
+    EXPECT_TRUE(sameContents(absent, zeroPage));
+    EXPECT_EQ(absent.hash(), zeroPage.hash());
+
+    MemImage oneByte = zeroPage;
+    oneByte.writeInt(kHeapBase + 3 * MemImage::kPageBytes + 17, 1, 1);
+    EXPECT_FALSE(sameContents(zeroPage, oneByte));
+    EXPECT_FALSE(sameContents(absent, oneByte));
 }
 
 TEST(MemImage, SameContentsIgnoresPoisonLikeHash)
