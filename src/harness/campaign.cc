@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "harness/sweep.hh"
@@ -39,11 +40,25 @@ campaignWorkloads()
 namespace
 {
 
+/** A recovered crash image and its hash(). */
+struct HashedImage
+{
+    uint64_t generation;
+    MemImage image;
+    uint64_t hash;
+};
+
 /**
  * One structure's post-setup state, shared by every run and replay of
  * that structure and released by the last cell that uses it, so the
  * campaign holds the states of the structures still in flight rather
  * than of all of them.
+ *
+ * It also keeps the last recovered crash image a cell hashed: crash
+ * points before the first committed transaction all recover to the
+ * setup's image, and a dense one costs milliseconds to hash. A cell
+ * whose recovered image has the same contents reuses the hash, which
+ * sameContents() makes exact.
  */
 struct SharedSetup
 {
@@ -51,10 +66,43 @@ struct SharedSetup
     /** Cells that have yet to finish with `state`. */
     std::atomic<size_t> users{0};
 
+    std::mutex memoLock;
+    /** Replaced whole, so a cell compares against its own reference
+     *  outside the lock. */
+    std::shared_ptr<const HashedImage> memo;
+
+    /** hash() of `img`, recovered to `generation`; `fresh` says it was
+     *  computed rather than taken from the memo. */
+    uint64_t
+    recoveredHash(const MemImage &img, uint64_t generation, bool &fresh)
+    {
+        std::shared_ptr<const HashedImage> last;
+        {
+            std::lock_guard<std::mutex> lock(memoLock);
+            last = memo;
+        }
+        fresh = !(last && last->generation == generation &&
+                  sameContents(last->image, img));
+        return fresh ? img.hash() : last->hash;
+    }
+
+    /** Keep a freshly hashed image for the cells after this one. */
+    void
+    remember(uint64_t generation, MemImage &&img, uint64_t hash)
+    {
+        auto next = std::make_shared<const HashedImage>(
+            HashedImage{generation, std::move(img), hash});
+        std::lock_guard<std::mutex> lock(memoLock);
+        memo.swap(next); // the old image is freed outside the lock
+    }
+
     void release()
     {
-        if (users.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (users.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             state.reset();
+            std::lock_guard<std::mutex> lock(memoLock);
+            memo.reset();
+        }
     }
 };
 
@@ -98,37 +146,25 @@ struct Cell
 };
 
 /**
- * Execute one crash cell: crash, recover (including interrupted
- * double/triple-crash schedules), replay, compare.
+ * Check a crash cell's recovered image `direct`: interrupted recoveries
+ * of the crash image (consumed by the last draw) must converge to it,
+ * and it must be the functional replay's image at its generation.
  */
 void
-runCrashCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
-             unsigned doubleCrashDraws, CampaignCellResult &out)
+checkCrashRecovery(const Prep &prep, const WorkloadSetup &setup,
+                   MemImage &&crashImage, const MemImage &direct,
+                   unsigned entriesApplied, unsigned doubleCrashDraws,
+                   CampaignCellResult &out)
 {
-    RunResult crashed =
-        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
-    out.outcome = crashed.outcome;
-    out.cycles = crashed.stats.cycles;
-    out.aborts = crashed.stats.aborts;
-    out.conflictProbes = crashed.stats.conflictProbes;
-    out.watchdogDegradations = crashed.stats.watchdogDegradations;
-    if (crashed.outcome != RunOutcome::kCrashed)
-        return; // crashAt beyond completion etc.: nothing to recover
-
-    out.recoveryChecked = true;
-
-    MemImage direct = crashed.durable;
-    RecoveryResult rec = recoverImage(direct);
-    out.recoveredGeneration = Workload::generation(direct);
-    out.imageHash = direct.hash();
-
     // Crash-during-recovery: a partial pass (logged_bit never cleared),
     // possibly interrupted a second time, then a full pass must converge
     // to exactly the image an uninterrupted recovery produced.
     for (unsigned draw = 1; draw <= doubleCrashDraws; ++draw) {
-        MemImage partial = crashed.durable;
-        unsigned k = rec.entriesApplied
-            ? (draw * rec.entriesApplied) / (doubleCrashDraws + 1)
+        MemImage partial = draw < doubleCrashDraws
+            ? MemImage(crashImage)
+            : std::move(crashImage);
+        unsigned k = entriesApplied
+            ? (draw * entriesApplied) / (doubleCrashDraws + 1)
             : 0;
         recoverImageInterrupted(partial, k);
         if (k > 1)
@@ -163,6 +199,40 @@ runCrashCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
     out.recoveryMatched = true;
 }
 
+/**
+ * Execute one crash cell: crash, recover (including interrupted
+ * double/triple-crash schedules), replay, compare.
+ */
+void
+runCrashCell(const Cell &cell, const Prep &prep, SharedSetup &shared,
+             unsigned doubleCrashDraws, CampaignCellResult &out)
+{
+    const WorkloadSetup &setup = *shared.state;
+    RunResult crashed =
+        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
+    out.outcome = crashed.outcome;
+    out.cycles = crashed.stats.cycles;
+    out.aborts = crashed.stats.aborts;
+    out.conflictProbes = crashed.stats.conflictProbes;
+    out.watchdogDegradations = crashed.stats.watchdogDegradations;
+    if (crashed.outcome != RunOutcome::kCrashed)
+        return; // crashAt beyond completion etc.: nothing to recover
+
+    out.recoveryChecked = true;
+
+    MemImage direct = crashed.durable;
+    RecoveryResult rec = recoverImage(direct);
+    out.recoveredGeneration = Workload::generation(direct);
+    bool fresh = false;
+    out.imageHash =
+        shared.recoveredHash(direct, out.recoveredGeneration, fresh);
+    checkCrashRecovery(prep, setup, std::move(crashed.durable), direct,
+                       rec.entriesApplied, doubleCrashDraws, out);
+    if (fresh)
+        shared.remember(out.recoveredGeneration, std::move(direct),
+                        out.imageHash);
+}
+
 /** Execute one conflict cell: run under the adversary, compare final
  *  durable state against the golden non-speculative run. Comparing the
  *  images is exact and cheaper than hashing a dense one, so only a
@@ -187,42 +257,19 @@ runConflictCell(const Cell &cell, const Prep &prep,
 }
 
 /**
- * Execute one media cell: crash a checksummed run, recover the pristine
- * image as the oracle, then apply a seeded media-fault plan to a twin of
- * the same crash image, run the hardened detect-repair-degrade recovery,
- * and require every line that differs from the oracle to be dead or
- * reported -- zero silent escapes.
+ * Check a media cell's pristine recovery `clean` against the functional
+ * replay, then apply a seeded media-fault plan to the crash image
+ * (consumed), run the hardened recovery on it, and count the silent
+ * escapes.
  */
 void
-runMediaCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
-             const CampaignOptions &opts, CampaignCellResult &out)
+checkMediaRecovery(const Cell &cell, const Prep &prep,
+                   const WorkloadSetup &setup, const CampaignOptions &opts,
+                   const RecoveryOptions &ropts, RunResult &crashed,
+                   const MemImage &clean, RecoveryVerdict cleanVerdict,
+                   CampaignCellResult &out)
 {
-    RunResult crashed =
-        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
-    out.outcome = crashed.outcome;
-    out.cycles = crashed.stats.cycles;
-    out.aborts = crashed.stats.aborts;
-    out.conflictProbes = crashed.stats.conflictProbes;
-    out.watchdogDegradations = crashed.stats.watchdogDegradations;
-    if (crashed.outcome != RunOutcome::kCrashed)
-        return; // crashAt beyond completion: nothing to corrupt
-
-    out.mediaChecked = true;
-
-    RecoveryOptions ropts;
-    ropts.checksums = true;
-    ropts.maxRetries = opts.mediaRetries;
-
-    // Oracle: hardened recovery of the pristine crash image must match
-    // the functional replay, or the escape scan below would diff against
-    // garbage. (kDegraded is acceptable here: a crash can leave a
-    // reallocated-but-unlogged line half-written, which recovery drops;
-    // the replay comparison proves every *live* line is right.)
-    MemImage clean = crashed.durable;
-    RecoveryReport repClean = recoverImageHardened(clean, ropts);
-    out.recoveredGeneration = Workload::generation(clean);
-    out.imageHash = clean.hash();
-    if (repClean.verdict == RecoveryVerdict::kUnrecoverable) {
+    if (cleanVerdict == RecoveryVerdict::kUnrecoverable) {
         out.error = "pristine crash image unrecoverable";
         return;
     }
@@ -252,7 +299,7 @@ runMediaCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
     mcfg.silentFraction = opts.mediaSilentFraction;
     mcfg.scrubInterval = opts.mediaScrubInterval;
     mcfg.seed = cell.mediaSeed;
-    MemImage faulted = crashed.durable;
+    MemImage faulted = std::move(crashed.durable);
     MediaFaultPlan plan =
         planMediaFaults(mcfg, faulted, crashed.stats.cycles);
     applyMediaFaults(faulted, plan);
@@ -297,6 +344,52 @@ runMediaCell(const Cell &cell, const Prep &prep, const WorkloadSetup &setup,
         ++out.mediaEscapes;
     }
     out.mediaNoEscapes = out.mediaEscapes == 0;
+}
+
+/**
+ * Execute one media cell: crash a checksummed run, recover the pristine
+ * image as the oracle, then apply a seeded media-fault plan to a twin of
+ * the same crash image, run the hardened detect-repair-degrade recovery,
+ * and require every line that differs from the oracle to be dead or
+ * reported -- zero silent escapes.
+ */
+void
+runMediaCell(const Cell &cell, const Prep &prep, SharedSetup &shared,
+             const CampaignOptions &opts, CampaignCellResult &out)
+{
+    const WorkloadSetup &setup = *shared.state;
+    RunResult crashed =
+        runExperiment(cell.cfg, cell.crashAt, nullptr, &setup);
+    out.outcome = crashed.outcome;
+    out.cycles = crashed.stats.cycles;
+    out.aborts = crashed.stats.aborts;
+    out.conflictProbes = crashed.stats.conflictProbes;
+    out.watchdogDegradations = crashed.stats.watchdogDegradations;
+    if (crashed.outcome != RunOutcome::kCrashed)
+        return; // crashAt beyond completion: nothing to corrupt
+
+    out.mediaChecked = true;
+
+    RecoveryOptions ropts;
+    ropts.checksums = true;
+    ropts.maxRetries = opts.mediaRetries;
+
+    // Oracle: hardened recovery of the pristine crash image must match
+    // the functional replay, or the escape scan would diff against
+    // garbage. (kDegraded is acceptable here: a crash can leave a
+    // reallocated-but-unlogged line half-written, which recovery drops;
+    // the replay comparison proves every *live* line is right.)
+    MemImage clean = crashed.durable;
+    RecoveryReport repClean = recoverImageHardened(clean, ropts);
+    out.recoveredGeneration = Workload::generation(clean);
+    bool fresh = false;
+    out.imageHash =
+        shared.recoveredHash(clean, out.recoveredGeneration, fresh);
+    checkMediaRecovery(cell, prep, setup, opts, ropts, crashed, clean,
+                       repClean.verdict, out);
+    if (fresh)
+        shared.remember(out.recoveredGeneration, std::move(clean),
+                        out.imageHash);
 }
 
 } // namespace
@@ -357,21 +450,25 @@ runFaultCampaign(const CampaignOptions &opts)
             return runExperiment(prepCfgs[i], 0, nullptr,
                                  prepSetups[i]->state.get());
         });
+    // Cells compare against the golden image only, so the reference
+    // runs' durable images are freed once read.
     for (size_t i = 0; i < preps.size(); ++i) {
-        const SweepRunResult &ref = prepRuns[stride * i];
+        SweepRunResult &ref = prepRuns[stride * i];
         const SweepRunResult &golden = prepRuns[stride * i + 1];
         SP_ASSERT(ref.ok && golden.ok, "campaign reference run threw: ",
                   ref.ok ? golden.error : ref.error);
         preps[i].refCycles = ref.run.stats.cycles;
         preps[i].refGeneration = ref.run.functionalGeneration;
+        ref.run.durable.clear();
         preps[i].golden = &golden.run.durable;
         preps[i].goldenHash = golden.run.durable.hash();
         if (opts.mediaFaults) {
-            const SweepRunResult &cs = prepRuns[stride * i + 2];
+            SweepRunResult &cs = prepRuns[stride * i + 2];
             SP_ASSERT(cs.ok, "campaign checksummed reference threw: ",
                       cs.error);
             preps[i].csRefCycles = cs.run.stats.cycles;
             preps[i].csRefGeneration = cs.run.functionalGeneration;
+            cs.run.durable.clear();
         }
     }
 
@@ -473,7 +570,6 @@ runFaultCampaign(const CampaignOptions &opts)
             const Cell &cell = grid[i];
             Prep &prep = preps[cell.prepIndex];
             SharedSetup &shared = prep.setupFor(cell.kind);
-            const WorkloadSetup &setup = *shared.state;
             CampaignCellResult &out = report.cells[i];
             out.index = i;
             out.kind = cell.kind;
@@ -482,14 +578,14 @@ runFaultCampaign(const CampaignOptions &opts)
             if (cell.kind == CampaignCellKind::kCrash) {
                 out.crashAt = cell.crashAt;
                 out.config += " crashAt=" + std::to_string(cell.crashAt);
-                runCrashCell(cell, prep, setup, opts.doubleCrashDraws, out);
+                runCrashCell(cell, prep, shared, opts.doubleCrashDraws, out);
             } else if (cell.kind == CampaignCellKind::kMedia) {
                 out.crashAt = cell.crashAt;
                 out.config += " crashAt=" + std::to_string(cell.crashAt) +
                     " mediaSeed=" + std::to_string(cell.mediaSeed);
-                runMediaCell(cell, prep, setup, opts, out);
+                runMediaCell(cell, prep, shared, opts, out);
             } else {
-                runConflictCell(cell, prep, setup, out);
+                runConflictCell(cell, prep, *shared.state, out);
             }
             // Released only on a normal return: a cell that throws keeps
             // the state alive (for a retry) until the campaign ends.

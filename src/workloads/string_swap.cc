@@ -1,6 +1,5 @@
 #include "workloads/string_swap.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -21,13 +20,54 @@ StringSwapWorkload::stringAddr(Addr array, uint64_t idx) const
     return array + idx * kStringBytes;
 }
 
+namespace
+{
+
+constexpr uint64_t kWordSeed = 0x9e3779b97f4a7c15ULL;
+constexpr uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
+constexpr uint64_t kMul2 = 0x94d049bb133111ebULL;
+constexpr unsigned kWordsPerString = StringSwapWorkload::kStringBytes / 8;
+
+/** Inverse of an odd multiplier mod 2^64 (Newton: each step doubles
+ *  the correct low bits, from 3 for an odd number). */
+constexpr uint64_t
+inverseMul(uint64_t a)
+{
+    uint64_t inv = a;
+    for (int i = 0; i < 5; ++i)
+        inv *= 2 - a * inv;
+    return inv;
+}
+
+constexpr uint64_t kInv1 = inverseMul(kMul1);
+constexpr uint64_t kInv2 = inverseMul(kMul2);
+static_assert(kMul1 * kInv1 == 1 && kMul2 * kInv2 == 1);
+
+/** Undo `x ^= x >> s` for s >= 22 (three terms cover 64 bits). */
+constexpr uint64_t
+unXorShift(uint64_t y, unsigned s)
+{
+    return y ^ (y >> s) ^ (y >> (2 * s));
+}
+
+} // namespace
+
 uint64_t
 StringSwapWorkload::initialWord(uint64_t idx, unsigned wordOffset)
 {
-    uint64_t x = idx * 131 + wordOffset + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    uint64_t x = idx * 131 + wordOffset + kWordSeed;
+    x = (x ^ (x >> 30)) * kMul1;
+    x = (x ^ (x >> 27)) * kMul2;
     return x ^ (x >> 31);
+}
+
+uint64_t
+StringSwapWorkload::initialIndex(uint64_t word0)
+{
+    uint64_t x = unXorShift(word0, 31) * kInv2;
+    x = unXorShift(x, 27) * kInv1;
+    uint64_t scaled = unXorShift(x, 30) - kWordSeed;
+    return scaled % 131 == 0 ? scaled / 131 : ~0ULL;
 }
 
 void
@@ -38,10 +78,13 @@ StringSwapWorkload::create()
     em_.store(kMeta + 8, numStrings_, 8);
     em_.store(kMeta + 16, 0, 8);
     em_.store(kMeta + 24, 0, 8);
+    // Setup runs muted outside shadow and journal passes, so each
+    // string is one image write.
+    uint64_t words[kWordsPerString] = {};
     for (uint64_t i = 0; i < numStrings_; ++i) {
-        Addr s = stringAddr(array_, i);
-        for (unsigned w = 0; w < kStringBytes / 8; ++w)
-            em_.store(s + w * 8, initialWord(i, w), 8);
+        for (unsigned w = 0; w < kWordsPerString; ++w)
+            words[w] = initialWord(i, w);
+        em_.storeBytes(stringAddr(array_, i), words, kStringBytes);
     }
 }
 
@@ -91,9 +134,11 @@ StringSwapWorkload::doOperation()
 uint64_t
 StringSwapWorkload::hashString(const MemImage &img, Addr addr)
 {
+    uint64_t words[kWordsPerString] = {};
+    img.read(addr, words, kStringBytes);
     uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned off = 0; off < kStringBytes; off += 8) {
-        h ^= img.readInt(addr + off, 8);
+    for (uint64_t word : words) {
+        h ^= word;
         h *= 0x100000001b3ULL;
     }
     return h;
@@ -125,23 +170,27 @@ StringSwapWorkload::checkImage(const MemImage &img, std::string *why) const
     if (n != numStrings_)
         return fail("string count changed");
 
-    // Swaps permute strings, so the multiset of string hashes must equal
-    // the multiset of the deterministic initial strings.
-    std::vector<uint64_t> expected(n), actual(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t h = 0xcbf29ce484222325ULL;
-        for (unsigned w = 0; w < kStringBytes / 8; ++w) {
-            h ^= initialWord(i, w);
-            h *= 0x100000001b3ULL;
-        }
-        expected[i] = h;
-        actual[i] = hashString(img, stringAddr(array, i));
-    }
-    std::sort(expected.begin(), expected.end());
-    std::sort(actual.begin(), actual.end());
-    if (expected != actual)
+    // Swaps permute strings, so every slot must hold a distinct initial
+    // string. A slot's word 0 names the one initial string it can hold
+    // (initialIndex), and n slots holding n distinct initial strings
+    // word for word are exactly a permutation of them.
+    const auto notPermutation = [&] {
         return fail("string contents are not a permutation of the "
                     "initial strings");
+    };
+    std::vector<bool> seen(n);
+    uint64_t words[kWordsPerString] = {};
+    for (uint64_t i = 0; i < n; ++i) {
+        img.read(stringAddr(array, i), words, kStringBytes);
+        uint64_t idx = initialIndex(words[0]);
+        if (idx >= n || seen[idx])
+            return notPermutation();
+        seen[idx] = true;
+        for (unsigned w = 1; w < kWordsPerString; ++w) {
+            if (words[w] != initialWord(idx, w))
+                return notPermutation();
+        }
+    }
     return true;
 }
 

@@ -51,6 +51,12 @@ class StringSwapWorkload : public Workload
     Addr stringAddr(Addr array, uint64_t idx) const;
     /** Deterministic initial contents of string `idx`. */
     static uint64_t initialWord(uint64_t idx, unsigned wordOffset);
+    /**
+     * The idx whose initialWord(idx, 0) is `word0`, or ~0 if none. The
+     * splitmix64 finalizer is a bijection, so inverting it recovers
+     * idx * 131 exactly (for any idx below 2^64 / 131).
+     */
+    static uint64_t initialIndex(uint64_t word0);
     static uint64_t hashString(const MemImage &img, Addr addr);
 };
 

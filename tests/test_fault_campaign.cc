@@ -145,6 +145,66 @@ TEST(FaultCampaign, SignatureGoldenAcrossStructures)
     }
 }
 
+TEST(FaultCampaign, CrashHashReuseMatchesFreshHash)
+{
+    // Crash cells of one structure reuse the hash of an earlier cell's
+    // recovered image when the contents match. Every cell's imageHash
+    // must still equal hash() of an independent crash and recovery, in
+    // whatever order the workers finish the cells.
+    CampaignOptions opts;
+    opts.kinds = {WorkloadKind::kStringSwap};
+    opts.crashPoints = 6;
+    opts.conflictPeriods = {};
+    opts.initOps = 40;
+    opts.simOps = 8;
+    opts.seed = 5;
+    for (bool torn : {false, true}) {
+        SCOPED_TRACE(torn);
+        opts.tornWrites = torn;
+        opts.workers = 1;
+        CampaignReport serial = runFaultCampaign(opts);
+        opts.workers = 8;
+        CampaignReport parallel = runFaultCampaign(opts);
+        ASSERT_EQ(serial.cells.size(), 6u);
+        EXPECT_EQ(serial.signature(), parallel.signature());
+        EXPECT_TRUE(serial.passed()) << serial.toJson();
+
+        std::vector<uint64_t> generations;
+        for (const CampaignCellResult &cell : serial.cells) {
+            SCOPED_TRACE(cell.config);
+            ASSERT_TRUE(cell.recoveryChecked);
+            RunConfig cfg;
+            cfg.kind = WorkloadKind::kStringSwap;
+            cfg.params.seed = opts.seed;
+            cfg.params.initOps = opts.initOps;
+            cfg.params.simOps = opts.simOps;
+            cfg.params.mode = PersistMode::kLogPSf;
+            cfg.sim.sp.enabled = true;
+            cfg.sim.fault.crash.tornWrites = torn;
+            cfg.sim.fault.crash.pcommitJitterCycles =
+                opts.pcommitJitterCycles;
+            cfg.sim.fault.crash.seed = opts.seed * 1000003 + cell.index;
+            ASSERT_EQ(describeRunConfig(cfg) + " crashAt=" +
+                          std::to_string(cell.crashAt),
+                      cell.config);
+
+            RunResult crashed = runExperiment(cfg, cell.crashAt);
+            ASSERT_EQ(crashed.outcome, RunOutcome::kCrashed);
+            recoverImage(crashed.durable);
+            EXPECT_EQ(Workload::generation(crashed.durable),
+                      cell.recoveredGeneration);
+            EXPECT_EQ(crashed.durable.hash(), cell.imageHash);
+            EXPECT_EQ(parallel.cells[cell.index].imageHash, cell.imageHash);
+            generations.push_back(cell.recoveredGeneration);
+        }
+        // The early crash points recover to the setup's generation, so
+        // the reuse path is taken.
+        std::sort(generations.begin(), generations.end());
+        EXPECT_NE(std::adjacent_find(generations.begin(), generations.end()),
+                  generations.end());
+    }
+}
+
 TEST(FaultCampaign, CsvAndJsonArtifactsAreWellFormed)
 {
     CampaignOptions opts;

@@ -212,17 +212,35 @@ TEST(WorkloadSS, CheckerCatchesTornString)
     WorkloadParams p = smallParams(10, 0, 31);
     StringSwapWorkload ss(p, 64);
     ss.setup();
+    const unsigned bytes = StringSwapWorkload::kStringBytes;
+    Addr array = ss.image().readInt(kWorkloadMetaBase + 0, 8);
+
     MemImage img = ss.image();
-    Addr array = img.readInt(kWorkloadMetaBase + 0, 8);
     img.writeInt(array + 8, 0xdead, 8); // corrupt one word of string 0
     EXPECT_FALSE(ss.checkImage(img, nullptr));
+
+    // A valid word 0 names the string; its last word must match too.
+    MemImage lastWord = ss.image();
+    Addr last = array + 7 * bytes + bytes - 8;
+    lastWord.writeInt(last, lastWord.readInt(last, 8) ^ 1, 8);
+    std::string why;
+    EXPECT_FALSE(ss.checkImage(lastWord, &why));
+    EXPECT_EQ(why, "SS: string contents are not a permutation of the "
+                   "initial strings");
+
+    // Word 1 of string idx inverts to idx * 131 + 1, which names no
+    // string, though words 1-31 still match string idx.
+    MemImage shifted = ss.image();
+    Addr s9 = array + 9 * bytes;
+    shifted.writeInt(s9, shifted.readInt(s9 + 8, 8), 8);
+    EXPECT_FALSE(ss.checkImage(shifted, nullptr));
 }
 
 TEST(WorkloadSS, CheckerRejectsDuplicateAndForeignStrings)
 {
-    // The checker compares the multiset of string hashes, so a string
-    // that appears twice (its slot-mate lost) and a string that was
-    // never one of the initial ones must each be rejected.
+    // The checker requires every slot to hold a distinct initial string,
+    // so a string that appears twice (its slot-mate lost) and a string
+    // that was never one of the initial ones must each be rejected.
     WorkloadParams p = smallParams(10, 0, 37);
     StringSwapWorkload ss(p, 64);
     ss.setup();
@@ -246,6 +264,62 @@ TEST(WorkloadSS, CheckerRejectsDuplicateAndForeignStrings)
     EXPECT_FALSE(ss.checkImage(foreign, &why));
     EXPECT_EQ(why, "SS: string contents are not a permutation of the "
                    "initial strings");
+}
+
+TEST(WorkloadSS, CheckerRejectsStringIndexedPastTheArray)
+{
+    // Word 0 names a string index; a well-formed string whose index is
+    // the array's length is not one of the initial strings.
+    WorkloadParams p = smallParams(0, 0, 41);
+    StringSwapWorkload ss(p, 64);
+    ss.setup();
+    const unsigned bytes = StringSwapWorkload::kStringBytes;
+    Addr array = ss.image().readInt(kWorkloadMetaBase + 0, 8);
+    StringSwapWorkload big(p, 65);
+    big.setup();
+    Addr bigArray = big.image().readInt(kWorkloadMetaBase + 0, 8);
+
+    MemImage img = ss.image();
+    for (unsigned off = 0; off < bytes; off += 8) {
+        img.writeInt(array + 5 * bytes + off,
+                     big.image().readInt(bigArray + 64 * bytes + off, 8),
+                     8);
+    }
+    std::string why;
+    EXPECT_FALSE(ss.checkImage(img, &why));
+    EXPECT_EQ(why, "SS: string contents are not a permutation of the "
+                   "initial strings");
+}
+
+TEST(WorkloadSS, CheckerAcceptsSwappedSlots)
+{
+    WorkloadParams p = smallParams(0, 0, 47);
+    StringSwapWorkload ss(p, 64);
+    ss.setup();
+    const unsigned bytes = StringSwapWorkload::kStringBytes;
+    Addr array = ss.image().readInt(kWorkloadMetaBase + 0, 8);
+    MemImage img = ss.image();
+    for (unsigned off = 0; off < bytes; off += 8) {
+        Addr a = array + 2 * bytes + off;
+        Addr b = array + 61 * bytes + off;
+        uint64_t va = img.readInt(a, 8);
+        img.writeInt(a, img.readInt(b, 8), 8);
+        img.writeInt(b, va, 8);
+    }
+    std::string why;
+    EXPECT_TRUE(ss.checkImage(img, &why)) << why;
+    EXPECT_NE(ss.contents(img), ss.contents(ss.image()));
+}
+
+TEST(WorkloadSS, SetupCountsOneStorePerWord)
+{
+    // create() writes each string in one image write that counts as its
+    // 32 word stores, after the four metadata words.
+    WorkloadParams p = smallParams(0, 0, 53);
+    StringSwapWorkload ss(p, 100);
+    ss.setup();
+    EXPECT_EQ(dynamic_cast<OpEmitter &>(ss.program()).stores(),
+              4 + 32 * 100u);
 }
 
 // --- Trees (shared shape) -------------------------------------------------------
